@@ -7,13 +7,13 @@
 //!   4096 snapshots, 6750 intersecting pairs — the same fixture as
 //!   `benches/micro.rs`): packed pair-query speedup over the scalar
 //!   reference must stay above `acceptance.pair_queries_speedup_floor`
-//!   in `BENCH_estimator.json` (8× by default).
+//!   in `BENCH_estimator.json`.
 //! * **Zero-copy load** — the same matrix persisted as a v3 file:
 //!   mapping it query-ready (`persist::map_observations`, header
 //!   validation only) must beat the heap-copying loader
 //!   (`persist::read_observations`) by
 //!   `acceptance.zero_copy_load_speedup_floor` in
-//!   `BENCH_estimator.json` (3× by default). The gate also smoke-checks
+//!   `BENCH_estimator.json`. The gate also smoke-checks
 //!   the kernel ladder: the portable tier must agree bit-exactly with
 //!   the runtime dispatcher, and the active tier is printed for the
 //!   record.
@@ -22,7 +22,7 @@
 //!   [`netcorr_core::InferenceContext`] (structure + selection + QR
 //!   reused) vs the one-shot algorithm rebuilding everything per call
 //!   must stay above `acceptance.structure_reuse_speedup_floor` in
-//!   `BENCH_inference.json` (2× by default).
+//!   `BENCH_inference.json`.
 //!
 //! * **Serve** — the online-daemon workloads from `benches/serve.rs`:
 //!   in-process `PROB` query dispatch through the wire protocol must
@@ -34,8 +34,12 @@
 //!   both in `BENCH_serve.json`. A third serve check bounds crash
 //!   recovery: restarting over a history file torn mid-write (recover
 //!   the rotated `.prev` generation, map and attach it) may cost at
-//!   most `acceptance.recovery_cold_start_ratio_ceiling` (2x) of a
-//!   restart over a clean file.
+//!   most `acceptance.recovery_cold_start_ratio_ceiling` of a restart
+//!   over a clean file.
+//!
+//! Every floor comes from its JSON file: a missing key fails the gate
+//! with the key's name, so a code default can never drift from the
+//! committed baseline.
 //!
 //! Run from the repository root, in release mode:
 //!
@@ -65,12 +69,6 @@ use rand::{RngExt, SeedableRng};
 const PATHS: usize = 1500;
 const SNAPSHOTS: usize = 4096;
 const HUBS: usize = 150;
-const DEFAULT_FLOOR: f64 = 8.0;
-const DEFAULT_LOAD_FLOOR: f64 = 3.0;
-const DEFAULT_INFERENCE_FLOOR: f64 = 2.0;
-const DEFAULT_QUERY_FLOOR: f64 = 50_000.0;
-const DEFAULT_WARM_FLOOR: f64 = 1.08;
-const DEFAULT_RECOVERY_CEILING: f64 = 2.0;
 
 /// Extracts `"<key>": <number>` from the baseline JSON with a plain text
 /// scan (the vendored serde_json shim only serializes).
@@ -83,6 +81,15 @@ fn read_floor(path: &str, key: &str) -> Option<f64> {
         .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
+}
+
+/// The floor `key` from the baseline JSON at `path`; fails the gate,
+/// naming the key, when it is missing or not a number.
+fn floor(path: &str, key: &str) -> f64 {
+    read_floor(path, key).unwrap_or_else(|| {
+        eprintln!("bench_gate: FAIL — no numeric `{key}` in {path}");
+        std::process::exit(1);
+    })
 }
 
 /// Mean seconds per iteration of `f` over `iters` timed runs (after
@@ -101,16 +108,7 @@ fn time_mean(warmup: usize, iters: usize, mut f: impl FnMut()) -> f64 {
 fn main() {
     let baseline =
         std::env::var("BENCH_BASELINE").unwrap_or_else(|_| "BENCH_estimator.json".into());
-    let floor = match read_floor(&baseline, "pair_queries_speedup_floor") {
-        Some(f) => f,
-        None => {
-            eprintln!(
-                "bench_gate: no pair_queries_speedup_floor in {baseline}, using default \
-                 {DEFAULT_FLOOR}x"
-            );
-            DEFAULT_FLOOR
-        }
-    };
+    let pair_floor = floor(&baseline, "pair_queries_speedup_floor");
 
     // Same workload as the `estimator` criterion group in benches/micro.rs.
     let mut rng = StdRng::seed_from_u64(0xc01);
@@ -176,10 +174,10 @@ fn main() {
         streaming_mean * 1e6
     );
     println!("  scalar    {:>10.1} us/iter", scalar_mean * 1e6);
-    println!("  speedup   {speedup:>10.1}x (floor {floor}x from {baseline})");
+    println!("  speedup   {speedup:>10.1}x (floor {pair_floor}x from {baseline})");
 
-    if speedup < floor {
-        eprintln!("bench_gate: FAIL — packed/scalar speedup {speedup:.1}x is below {floor}x");
+    if speedup < pair_floor {
+        eprintln!("bench_gate: FAIL — packed/scalar speedup {speedup:.1}x is below {pair_floor}x");
         std::process::exit(1);
     }
 
@@ -206,16 +204,7 @@ fn main() {
         "portable all-good kernel disagrees with the dispatcher"
     );
 
-    let load_floor = match read_floor(&baseline, "zero_copy_load_speedup_floor") {
-        Some(f) => f,
-        None => {
-            eprintln!(
-                "bench_gate: no zero_copy_load_speedup_floor in {baseline}, using default \
-                 {DEFAULT_LOAD_FLOOR}x"
-            );
-            DEFAULT_LOAD_FLOOR
-        }
-    };
+    let load_floor = floor(&baseline, "zero_copy_load_speedup_floor");
     let file = std::env::temp_dir().join(format!(
         "netcorr_bench_gate_load_{}.ncobs3",
         std::process::id()
@@ -234,7 +223,7 @@ fn main() {
     let mapped = persist::map_observations(&file).expect("mapped load");
     assert_eq!(
         mapped.view().prob_all_paths_good().expect("non-empty"),
-        packed_est.prob_all_paths_good(),
+        packed_est.prob_all_paths_good().expect("non-empty"),
         "mapped view disagrees with the owning estimator"
     );
     drop(mapped);
@@ -258,16 +247,7 @@ fn main() {
     // --- Inference gate: structure / factorization reuse. ---
     let inference_baseline =
         std::env::var("BENCH_INFERENCE_BASELINE").unwrap_or_else(|_| "BENCH_inference.json".into());
-    let inference_floor = match read_floor(&inference_baseline, "structure_reuse_speedup_floor") {
-        Some(f) => f,
-        None => {
-            eprintln!(
-                "bench_gate: no structure_reuse_speedup_floor in {inference_baseline}, using \
-                 default {DEFAULT_INFERENCE_FLOOR}x"
-            );
-            DEFAULT_INFERENCE_FLOOR
-        }
-    };
+    let inference_floor = floor(&inference_baseline, "structure_reuse_speedup_floor");
 
     // Same workload as the `inference` criterion benchmark: one trial's
     // inference on a smoke-scale PlanetLab fixture, with and without the
@@ -317,26 +297,8 @@ fn main() {
     // --- Serve gate: query dispatch throughput + warm re-inference. ---
     let serve_baseline =
         std::env::var("BENCH_SERVE_BASELINE").unwrap_or_else(|_| "BENCH_serve.json".into());
-    let query_floor = match read_floor(&serve_baseline, "query_throughput_floor_per_sec") {
-        Some(f) => f,
-        None => {
-            eprintln!(
-                "bench_gate: no query_throughput_floor_per_sec in {serve_baseline}, using \
-                 default {DEFAULT_QUERY_FLOOR}/s"
-            );
-            DEFAULT_QUERY_FLOOR
-        }
-    };
-    let warm_floor = match read_floor(&serve_baseline, "warm_reinfer_speedup_floor") {
-        Some(f) => f,
-        None => {
-            eprintln!(
-                "bench_gate: no warm_reinfer_speedup_floor in {serve_baseline}, using default \
-                 {DEFAULT_WARM_FLOOR}x"
-            );
-            DEFAULT_WARM_FLOOR
-        }
-    };
+    let query_floor = floor(&serve_baseline, "query_throughput_floor_per_sec");
+    let warm_floor = floor(&serve_baseline, "warm_reinfer_speedup_floor");
 
     // Query dispatch: the same in-process `PROB` path as the
     // `serve_query` benchmark — what one daemon session costs per query
@@ -435,16 +397,7 @@ fn main() {
     // `acceptance.recovery_cold_start_ratio_ceiling` (2x). The
     // filesystem state is re-torn between iterations *outside* the
     // timed region, since recovery repairs it in place.
-    let recovery_ceiling = match read_floor(&serve_baseline, "recovery_cold_start_ratio_ceiling") {
-        Some(f) => f,
-        None => {
-            eprintln!(
-                "bench_gate: no recovery_cold_start_ratio_ceiling in {serve_baseline}, using \
-                 default {DEFAULT_RECOVERY_CEILING}x"
-            );
-            DEFAULT_RECOVERY_CEILING
-        }
-    };
+    let recovery_ceiling = floor(&serve_baseline, "recovery_cold_start_ratio_ceiling");
     let dir = std::env::temp_dir().join(format!(
         "netcorr_bench_gate_recovery_{}",
         std::process::id()

@@ -146,7 +146,7 @@ impl<'a> TheoremAlgorithm<'a> {
         self.instance.validate()?;
         self.check_width(observations.num_paths())?;
         let estimator = ProbabilityEstimator::new(observations)?;
-        let p_all_good = estimator.prob_all_paths_good();
+        let p_all_good = estimator.prob_all_paths_good()?;
         // Guarding before enumeration skips the subset enumeration and
         // the batch row-matching pass when the error is already
         // inevitable, and keeps the error precedence of the pre-refactor

@@ -19,8 +19,8 @@
 //! transparently. [`map_observations`] opens a `v3` file through the
 //! zero-copy tier instead — the lane words are memory-mapped and served
 //! in place (see [`netcorr_measure::MappedObservations`]), so a
-//! multi-gigabyte history becomes query-ready without the word copy and
-//! row rebuild a [`read_observations`] load pays. [`write_trace`] /
+//! multi-gigabyte history becomes query-ready without the word copy a
+//! [`read_observations`] load pays. [`write_trace`] /
 //! [`read_trace`] additionally persist a full [`SimulationTrace`] — the
 //! observations *plus* the ground-truth per-snapshot link states (packed
 //! [`BitMatrix`]) — so separability studies can re-run inference against
@@ -157,7 +157,7 @@ pub fn read_observations(path: &Path) -> Result<PathObservations, EvalError> {
 /// Opens a binary (`v3`) observation file through the zero-copy tier:
 /// the file is memory-mapped (heap fallback off Linux/x86-64), the
 /// header and per-lane zero-tail invariant are validated, and the lane
-/// words are served in place — no copy, no row rebuild. Corrupt files
+/// words are served in place — no copy. Corrupt files
 /// (truncated, dirty tails, bad magic) and text (`v2`) files surface as
 /// [`EvalError::Persist`] carrying the file path, never a panic.
 pub fn map_observations(path: &Path) -> Result<MappedObservations, EvalError> {
@@ -595,7 +595,7 @@ mod tests {
         let mapped = map_observations(&file).unwrap();
         assert_eq!(mapped.num_paths(), obs.num_paths());
         assert_eq!(mapped.num_snapshots(), 250);
-        assert_eq!(mapped.view().to_observations().unwrap(), obs);
+        assert_eq!(mapped.view().to_observations(), obs);
         assert_eq!(read_observations(&file).unwrap(), obs);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -886,7 +886,7 @@ mod tests {
         let footer = validate_history_bytes(&std::fs::read(&file).unwrap()).unwrap();
         let mapped = map_observations_prefix(&file, footer.payload_len).unwrap();
         assert_eq!(mapped.num_snapshots(), 64);
-        assert_eq!(mapped.view().to_observations().unwrap(), obs);
+        assert_eq!(mapped.view().to_observations(), obs);
         // The whole-file open rejects the footered layout, so the prefix
         // form is the only way in.
         assert!(map_observations(&file).is_err());

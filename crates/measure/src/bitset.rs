@@ -1,15 +1,13 @@
 //! Bit-packed Boolean storage for observations and link-state traces.
 //!
-//! Two complementary layouts back the observation pipeline:
-//!
 //! * [`BitLanes`] — *lane-major* (columnar): one packed `u64` lane per
-//!   path, one bit per snapshot. Marginal and joint path queries become
-//!   bitwise AND / popcount over whole words, touching 64 snapshots per
-//!   instruction.
+//!   path, one bit per snapshot. This is the only layout of path
+//!   observations: every estimator query (marginal, joint, all-good and
+//!   exact-state) is a bitwise sweep over whole lane words, 64 snapshots
+//!   per word. [`BitLanesView`] is its borrowed, zero-copy counterpart.
 //! * [`BitMatrix`] — *row-major*: one packed row per snapshot, one bit per
-//!   path (or per link, for simulation traces). Exact-state queries
-//!   (`P(ψ(S) = ψ(A))`) become word-equality of each row against a packed
-//!   target mask.
+//!   link. It backs simulation link-state traces, which are only ever
+//!   read one snapshot at a time.
 //!
 //! Both structures maintain the invariant that every bit beyond the logical
 //! extent (slots / width) is zero, so popcounts over stored words never
@@ -241,16 +239,13 @@ impl BitLanes {
     }
 
     /// Appends every slot of `other` after this store's slots, by
-    /// word-level copy. This is the shard-merge primitive: because lanes
-    /// are packed, concatenating a shard whose start is word-aligned is a
-    /// `memcpy` per lane.
+    /// word-level copy: a `memcpy` per lane when this store ends on a word
+    /// boundary (the shard splitter aligns every boundary but the last),
+    /// otherwise a word-shifted merge ([`splice_lane`]).
     ///
     /// # Panics
     ///
-    /// Panics if the lane counts differ or if this store's slot count is
-    /// not a multiple of the word size (the shard splitter aligns every
-    /// boundary except the last, so merging in order always hits the
-    /// aligned case).
+    /// Panics if the lane counts differ.
     pub fn concat(&mut self, other: &BitLanes) {
         assert_eq!(
             self.num_lanes, other.num_lanes,
@@ -259,22 +254,41 @@ impl BitLanes {
         if other.num_slots == 0 {
             return;
         }
-        assert_eq!(
-            self.num_slots % WORD_BITS,
-            0,
-            "concat requires the left store to end on a word boundary \
-             ({} slots recorded)",
-            self.num_slots
-        );
         let total = self.num_slots + other.num_slots;
-        self.grow_to(words_for(total));
-        let offset = self.num_slots / WORD_BITS;
+        let used = words_for(total);
+        self.grow_to(used);
         for lane in 0..self.num_lanes {
-            let src = other.lane(lane);
-            let dst = lane * self.words_per_lane + offset;
-            self.words[dst..dst + src.len()].copy_from_slice(src);
+            let start = lane * self.words_per_lane;
+            splice_lane(
+                &mut self.words[start..start + used],
+                self.num_slots,
+                other.lane(lane),
+            );
         }
         self.num_slots = total;
+    }
+}
+
+/// Writes the packed bits of `src` into `dst` starting at bit `offset`:
+/// the shard-merge and history-merge primitive. `dst` must hold the
+/// merged lane exactly (`words_for(offset + slots of src)` words) and be
+/// zero from bit `offset` on; `src` must satisfy the zero-tail
+/// invariant. A word-aligned `offset` is a plain copy; otherwise every
+/// source word is split across two destination words.
+pub(crate) fn splice_lane(dst: &mut [u64], offset: usize, src: &[u64]) {
+    let first = offset / WORD_BITS;
+    let shift = offset % WORD_BITS;
+    if shift == 0 {
+        dst[first..first + src.len()].copy_from_slice(src);
+        return;
+    }
+    for (i, &word) in src.iter().enumerate() {
+        dst[first + i] |= word << shift;
+        let carry = word >> (WORD_BITS - shift);
+        match dst.get_mut(first + i + 1) {
+            Some(next) => *next |= carry,
+            None => debug_assert_eq!(carry, 0, "source bits beyond the merged extent"),
+        }
     }
 }
 
@@ -410,6 +424,25 @@ impl<'a> BitLanesView<'a> {
             .sum()
     }
 
+    /// Word `word` of every lane, in lane order: the 64 slots
+    /// `64·word ..` across all lanes, read with one strided pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `word >= used_words`.
+    pub(crate) fn word_column(&self, word: usize) -> impl Iterator<Item = u64> + 'a {
+        assert!(
+            word < self.used_words(),
+            "word {word} out of range ({} used)",
+            self.used_words()
+        );
+        self.words[word..]
+            .iter()
+            .step_by(self.stride)
+            .take(self.num_lanes)
+            .copied()
+    }
+
     /// Copies the view into an owned [`BitLanes`] (promoting the zero-copy
     /// tier back to the heap tier).
     pub fn to_owned_lanes(&self) -> BitLanes {
@@ -425,7 +458,8 @@ impl<'a> BitLanesView<'a> {
 }
 
 /// Row-major packed bit matrix: an append-only sequence of fixed-width
-/// rows, one word-aligned packed row per append.
+/// rows, one word-aligned packed row per append (the simulator's
+/// per-snapshot link states).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BitMatrix {
     width: usize,
@@ -530,8 +564,7 @@ impl BitMatrix {
     }
 
     /// The flat packed word buffer (`num_rows × words_per_row` words,
-    /// row-major) — the input shape of the row-matching SIMD kernels and
-    /// of the binary wire format.
+    /// row-major) — the shape the link-state trace is persisted in.
     pub fn words(&self) -> &[u64] {
         &self.words
     }
@@ -565,37 +598,6 @@ impl BitMatrix {
             num_rows,
             words,
         }
-    }
-
-    /// Appends every row of `other` after this matrix's rows. Rows are
-    /// independently packed, so this is a single word-level copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ.
-    pub fn concat(&mut self, other: &BitMatrix) {
-        assert_eq!(
-            self.width, other.width,
-            "cannot concatenate matrices with different widths"
-        );
-        self.words.extend_from_slice(&other.words);
-        self.num_rows += other.num_rows;
-    }
-
-    /// Packs a row-shaped Boolean mask (e.g. an exact-congestion target)
-    /// into the matrix's word layout, for word-equality comparison against
-    /// [`BitMatrix::row_words`].
-    pub fn pack_mask(&self, set_bits: impl IntoIterator<Item = usize>) -> Vec<u64> {
-        let mut mask = vec![0u64; self.words_per_row];
-        for bit in set_bits {
-            assert!(
-                bit < self.width,
-                "mask bit {bit} out of range (width {})",
-                self.width
-            );
-            mask[bit / WORD_BITS] |= 1u64 << (bit % WORD_BITS);
-        }
-        mask
     }
 }
 
@@ -674,16 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix_mask_matches_row_packing() {
-        let mut m = BitMatrix::new(130);
-        let congested = [3usize, 64, 129];
-        let row: Vec<bool> = (0..130).map(|i| congested.contains(&i)).collect();
-        m.push_row(&row);
-        let mask = m.pack_mask(congested);
-        assert_eq!(m.row_words(0), mask.as_slice());
-    }
-
-    #[test]
     fn zero_width_containers_are_well_formed() {
         let mut m = BitMatrix::new(0);
         m.push_row(&[]);
@@ -723,13 +715,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "word boundary")]
-    fn lanes_concat_rejects_unaligned_prefix() {
-        let mut left = BitLanes::new(1);
-        left.push_slot(&[true]);
-        let mut right = BitLanes::new(1);
-        right.push_slot(&[false]);
-        left.concat(&right);
+    fn lanes_concat_shifts_unaligned_prefixes() {
+        // Every left length across two word boundaries, including ones
+        // where the merged tail fits in the left store's last word.
+        let bit = |slot: usize, lane: usize| (slot * 5 + lane * 11).is_multiple_of(3);
+        for split in 0..=140 {
+            let mut left = BitLanes::new(2);
+            let mut right = BitLanes::new(2);
+            let mut whole = BitLanes::new(2);
+            for slot in 0..150 {
+                let row = [bit(slot, 0), bit(slot, 1)];
+                whole.push_slot(&row);
+                if slot < split {
+                    left.push_slot(&row);
+                } else {
+                    right.push_slot(&row);
+                }
+            }
+            left.concat(&right);
+            assert_eq!(left, whole, "split at {split}");
+            // The merged store keeps growing correctly afterwards.
+            left.push_slot(&[true, false]);
+            assert!(left.get(0, 150) && !left.get(1, 150));
+        }
     }
 
     #[test]
@@ -757,23 +765,14 @@ mod tests {
     }
 
     #[test]
-    fn matrix_concat_and_raw_words_round_trip() {
-        let mut left = BitMatrix::new(70);
-        let mut right = BitMatrix::new(70);
-        let mut whole = BitMatrix::new(70);
+    fn matrix_raw_words_round_trip() {
+        let mut m = BitMatrix::new(70);
         for r in 0..9 {
             let row: Vec<bool> = (0..70).map(|c| (r * c) % 4 == 1).collect();
-            whole.push_row(&row);
-            if r < 5 {
-                left.push_row(&row);
-            } else {
-                right.push_row(&row);
-            }
+            m.push_row(&row);
         }
-        left.concat(&right);
-        assert_eq!(left, whole);
-        let rebuilt = BitMatrix::from_words(70, 9, whole.words().to_vec());
-        assert_eq!(rebuilt, whole);
+        let rebuilt = BitMatrix::from_words(70, 9, m.words().to_vec());
+        assert_eq!(rebuilt, m);
     }
 
     #[test]

@@ -12,44 +12,49 @@
 //!   exactly the congested paths (the left-hand side of Eq. 18, used by the
 //!   exact theorem algorithm).
 //!
-//! All estimates are computed on the bit-packed views of
-//! [`PathObservations`]: joint-good queries AND the complemented path
-//! lanes and popcount the result (64 snapshots per word), and exact-state
-//! queries compare each packed snapshot row against a packed target mask.
+//! Each of them is an integer count over the packed path lanes, divided by
+//! the snapshot count:
+//!
+//! * joint-good counts AND the complemented lanes and popcount the result
+//!   (64 snapshots per word), through the SIMD kernel ladder in
+//!   [`crate::bitset::simd`] (AVX-512 → AVX2 → portable, chosen per call);
+//! * exact-state counts AND the pattern's member lanes first, then sweep
+//!   every word that still has candidates across the complemented
+//!   non-member lanes, leaving it as soon as no snapshot in it can match;
+//! * the all-good count ORs every lane into one accumulator and stops as
+//!   soon as every snapshot has seen a congested path.
+//!
 //! The batch entry points ([`ProbabilityEstimator::log_prob_pairs_good`],
 //! [`ProbabilityEstimator::prob_exactly_congested_batch`]) exist so the
 //! equation builder and the theorem algorithm issue *one* call for all
-//! their queries instead of re-scanning the observations per pair.
+//! their queries.
 //!
 //! Estimated probabilities of zero are problematic for the log-linear
 //! equations (log 0 = −∞), so [`ProbabilityEstimator::log_prob_paths_good`]
 //! clamps frequencies to a floor of `1/(2·N)` where `N` is the number of
 //! snapshots — the usual "half a count" correction for unobserved events.
 //!
-//! The pre-packing scalar implementation survives as the executable
-//! specification in [`crate::reference`]; the differential property tests
-//! assert bit-exact agreement between the two on random observation
-//! matrices.
-//!
-//! This estimator *borrows* a heap-owned [`PathObservations`]. The same
-//! queries are also available over **borrowed or memory-mapped lane
-//! words** through [`crate::view::ObservationsView`] — the zero-copy
-//! memory tier, bit-identical answers without owning the store — and
-//! both ride the same SIMD kernel ladder in [`crate::bitset::simd`]
-//! (AVX-512 → AVX2 → portable, chosen per call at runtime).
+//! An estimator *borrows* its lane words, so the same type serves every
+//! memory tier: a heap-owned [`PathObservations`]
+//! ([`ProbabilityEstimator::new`]), a v3 binary block parsed in place
+//! ([`ProbabilityEstimator::parse`]), or a memory-mapped v3 file
+//! ([`crate::MappedObservations::view`]). The pre-packing scalar
+//! implementation survives as the executable specification in
+//! [`crate::reference`]; the differential property tests assert bit-exact
+//! agreement with it on random observation matrices.
 
 use std::collections::BTreeSet;
 
 use netcorr_topology::path::PathId;
 
-use crate::bitset::simd;
+use crate::bitset::{simd, splice_lane, BitLanesView, WORD_BITS};
 use crate::error::MeasureError;
-use crate::observation::PathObservations;
+use crate::observation::{binary_header, parse_binary_header, PathObservations, BINARY_HEADER_LEN};
 
-/// Empirical probability estimator over a set of recorded observations.
+/// Empirical probability estimator over borrowed, packed path lanes.
 #[derive(Debug, Clone, Copy)]
 pub struct ProbabilityEstimator<'a> {
-    observations: &'a PathObservations,
+    lanes: BitLanesView<'a>,
 }
 
 impl<'a> ProbabilityEstimator<'a> {
@@ -60,17 +65,64 @@ impl<'a> ProbabilityEstimator<'a> {
         if observations.is_empty() {
             return Err(MeasureError::NoSnapshots);
         }
-        Ok(ProbabilityEstimator { observations })
+        Ok(Self::from_lanes(observations.lanes().as_view()))
     }
 
-    /// The underlying observations.
-    pub fn observations(&self) -> &PathObservations {
-        self.observations
+    /// Wraps a validated lane view (which may be empty: every probability
+    /// query then fails with [`MeasureError::NoSnapshots`]).
+    pub fn from_lanes(lanes: BitLanesView<'a>) -> Self {
+        ProbabilityEstimator { lanes }
+    }
+
+    /// Parses a v3 binary observation block **in place**: the header is
+    /// validated, the lane-word region is reinterpreted as little-endian
+    /// `u64`s without copying, and the zero-tail invariant is checked per
+    /// lane. The bytes must keep the words 8-byte aligned (a mapped file
+    /// or any allocation whose word region starts at a multiple of 8);
+    /// misaligned buffers are rejected — copy through
+    /// [`PathObservations::from_binary`] instead.
+    ///
+    /// Only available on little-endian hosts, where the wire byte order
+    /// *is* the in-memory byte order.
+    #[cfg(target_endian = "little")]
+    #[allow(unsafe_code)]
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, MeasureError> {
+        let (num_paths, num_snapshots) = parse_binary_header(bytes)?;
+        let region = &bytes[BINARY_HEADER_LEN..];
+        // SAFETY: every bit pattern is a valid `u64`; `align_to` returns
+        // word-aligned, in-bounds subslices by contract. The empty
+        // prefix/suffix check below guarantees the whole region was
+        // reinterpreted.
+        let (prefix, words, suffix) = unsafe { region.align_to::<u64>() };
+        if !prefix.is_empty() || !suffix.is_empty() {
+            return Err(MeasureError::Wire(format!(
+                "lane region is not 8-byte aligned (offset {}): zero-copy parse needs an \
+                 aligned buffer",
+                prefix.len()
+            )));
+        }
+        let lanes = BitLanesView::try_from_lane_words(num_paths, num_snapshots, words)?;
+        Ok(Self::from_lanes(lanes))
+    }
+
+    /// Number of paths per snapshot.
+    pub fn num_paths(&self) -> usize {
+        self.lanes.num_lanes()
     }
 
     /// Number of snapshots backing every estimate.
     pub fn num_snapshots(&self) -> usize {
-        self.observations.num_snapshots()
+        self.lanes.num_slots()
+    }
+
+    /// Returns `true` if the estimator covers no snapshots.
+    pub fn is_empty(&self) -> bool {
+        self.num_snapshots() == 0
+    }
+
+    /// The underlying lane view.
+    pub fn lanes(&self) -> BitLanesView<'a> {
+        self.lanes
     }
 
     /// The probability floor used when clamping zero frequencies before
@@ -79,49 +131,153 @@ impl<'a> ProbabilityEstimator<'a> {
         1.0 / (2.0 * self.num_snapshots() as f64)
     }
 
+    /// The snapshot count as the divisor of every probability, or
+    /// [`MeasureError::NoSnapshots`].
+    fn snapshots_divisor(&self) -> Result<f64, MeasureError> {
+        if self.is_empty() {
+            return Err(MeasureError::NoSnapshots);
+        }
+        Ok(self.num_snapshots() as f64)
+    }
+
     fn check_path(&self, path: PathId) -> Result<(), MeasureError> {
-        if path.index() >= self.observations.num_paths() {
+        if path.index() >= self.num_paths() {
             return Err(MeasureError::UnknownPath {
                 index: path.index(),
-                num_paths: self.observations.num_paths(),
+                num_paths: self.num_paths(),
             });
         }
         Ok(())
     }
 
+    /// Number of snapshots in which `path` was congested.
+    pub fn congested_count(&self, path: PathId) -> Result<usize, MeasureError> {
+        self.check_path(path)?;
+        Ok(self.lanes.count_ones(path.index()))
+    }
+
     /// Number of snapshots in which *all* the given paths were good:
     /// popcount of the AND of the complemented lanes (the tail of the last
     /// word is masked because complementing turns the zero padding into
-    /// ones). Dispatches to the SIMD kernel tier of [`simd`].
-    fn all_good_count(&self, paths: &[PathId]) -> usize {
-        let lanes = self.observations.lanes();
-        let used = lanes.used_words();
-        let mask = lanes.last_word_mask();
-        if let [a, b] = paths {
-            return simd::pair_good_count(lanes.lane(a.index()), lanes.lane(b.index()), mask);
+    /// ones), through the SIMD kernel ladder of [`simd`].
+    pub fn all_good_count(&self, paths: &[PathId]) -> Result<usize, MeasureError> {
+        for &p in paths {
+            self.check_path(p)?;
         }
-        let lane_refs: Vec<&[u64]> = paths.iter().map(|&p| lanes.lane(p.index())).collect();
-        simd::all_good_count(&lane_refs, used, mask)
+        let mask = self.lanes.last_word_mask();
+        if let [a, b] = paths {
+            return Ok(simd::pair_good_count(
+                self.lanes.lane(a.index()),
+                self.lanes.lane(b.index()),
+                mask,
+            ));
+        }
+        let lanes: Vec<&[u64]> = paths.iter().map(|&p| self.lanes.lane(p.index())).collect();
+        Ok(simd::all_good_count(&lanes, self.lanes.used_words(), mask))
+    }
+
+    /// Number of snapshots in which every path was good (`ψ(S) = ∅`): the
+    /// lanes are ORed into one accumulator whose phantom tail bits start
+    /// set, and the sweep stops once every snapshot has seen a congested
+    /// path.
+    pub fn all_paths_good_count(&self) -> usize {
+        let used = self.lanes.used_words();
+        if used == 0 {
+            return 0;
+        }
+        let mut seen = vec![0u64; used];
+        seen[used - 1] = !self.lanes.last_word_mask();
+        // Four lanes per pass, so the accumulator is loaded and stored once
+        // per four lane words; saturation is checked every eight lanes.
+        let paths = self.num_paths();
+        let quads = paths - paths % 4;
+        for p in (0..quads).step_by(4) {
+            let [a, b, c, d] = [p, p + 1, p + 2, p + 3].map(|q| self.lanes.lane(q));
+            for ((((s, &a), &b), &c), &d) in seen.iter_mut().zip(a).zip(b).zip(c).zip(d) {
+                *s |= a | b | c | d;
+            }
+            if p % 8 == 4 && seen.iter().all(|&s| s == !0) {
+                return 0;
+            }
+        }
+        for p in quads..paths {
+            for (s, &word) in seen.iter_mut().zip(self.lanes.lane(p)) {
+                *s |= word;
+            }
+        }
+        seen.iter().map(|s| (!s).count_ones() as usize).sum()
+    }
+
+    /// Number of snapshots in which the congested paths were *exactly*
+    /// the given set. The empty pattern is [`Self::all_paths_good_count`].
+    /// Otherwise the member lanes are ANDed first, lane by lane, into the
+    /// words that still hold candidate snapshots — a word drops out as
+    /// soon as it is all zero, and unless the data are very sparse a few
+    /// members empty all but the matching words. Each surviving word is
+    /// then swept across the complemented non-member lanes, read as one
+    /// strided column of that word, until it is all zero.
+    pub fn pattern_count(&self, congested: &BTreeSet<PathId>) -> Result<usize, MeasureError> {
+        let members = congested
+            .iter()
+            .map(|&p| self.check_path(p).map(|()| p.index()))
+            .collect::<Result<Vec<usize>, _>>()?;
+        if members.is_empty() {
+            return Ok(self.all_paths_good_count());
+        }
+        // The words that can still hold a match, with their candidates.
+        let used = self.lanes.used_words();
+        let mut live: Vec<(usize, u64)> = (0..used)
+            .map(|w| {
+                (
+                    w,
+                    if w + 1 == used {
+                        self.lanes.last_word_mask()
+                    } else {
+                        !0
+                    },
+                )
+            })
+            .collect();
+        for &m in &members {
+            let lane = self.lanes.lane(m);
+            live.retain_mut(|(w, acc)| {
+                *acc &= lane[*w];
+                *acc != 0
+            });
+        }
+        let mut count = 0;
+        for (w, mut acc) in live {
+            let mut next_member = members.iter().copied().peekable();
+            for (p, word) in self.lanes.word_column(w).enumerate() {
+                if acc == 0 {
+                    break;
+                }
+                if next_member.next_if_eq(&p).is_none() {
+                    acc &= !word;
+                }
+            }
+            count += acc.count_ones() as usize;
+        }
+        Ok(count)
+    }
+
+    /// Empirical `P(Y_i = 1)`.
+    pub fn prob_path_congested(&self, path: PathId) -> Result<f64, MeasureError> {
+        let n = self.snapshots_divisor()?;
+        Ok(self.congested_count(path)? as f64 / n)
     }
 
     /// Empirical `P(Y_i = 0)`: the fraction of snapshots in which `path`
     /// was good.
     pub fn prob_path_good(&self, path: PathId) -> Result<f64, MeasureError> {
-        Ok(1.0 - self.observations.congestion_frequency(path)?)
-    }
-
-    /// Empirical `P(Y_i = 1)`.
-    pub fn prob_path_congested(&self, path: PathId) -> Result<f64, MeasureError> {
-        self.observations.congestion_frequency(path)
+        Ok(1.0 - self.prob_path_congested(path)?)
     }
 
     /// Empirical probability that *all* the given paths were good in the
     /// same snapshot (`P(Y_{i1} = 0, ..., Y_{ik} = 0)`).
     pub fn prob_paths_good(&self, paths: &[PathId]) -> Result<f64, MeasureError> {
-        for &p in paths {
-            self.check_path(p)?;
-        }
-        Ok(self.all_good_count(paths) as f64 / self.num_snapshots() as f64)
+        let n = self.snapshots_divisor()?;
+        Ok(self.all_good_count(paths)? as f64 / n)
     }
 
     /// Batch form of the path-pair query: one `P(Y_i = 0, Y_j = 0)` per
@@ -129,18 +285,20 @@ impl<'a> ProbabilityEstimator<'a> {
     /// path — each pair costs one AND/popcount sweep over two packed lanes
     /// (`⌈N/64⌉` words), never a rescan of the full observation matrix.
     pub fn prob_pairs_good(&self, pairs: &[(PathId, PathId)]) -> Result<Vec<f64>, MeasureError> {
+        let n = self.snapshots_divisor()?;
         for &(a, b) in pairs {
             self.check_path(a)?;
             self.check_path(b)?;
         }
-        let lanes = self.observations.lanes();
-        let mask = lanes.last_word_mask();
-        let n = self.num_snapshots() as f64;
+        let mask = self.lanes.last_word_mask();
         Ok(pairs
             .iter()
             .map(|&(a, b)| {
-                let count =
-                    simd::pair_good_count(lanes.lane(a.index()), lanes.lane(b.index()), mask);
+                let count = simd::pair_good_count(
+                    self.lanes.lane(a.index()),
+                    self.lanes.lane(b.index()),
+                    mask,
+                );
                 count as f64 / n
             })
             .collect())
@@ -160,56 +318,6 @@ impl<'a> ProbabilityEstimator<'a> {
             .collect())
     }
 
-    /// Empirical `P(ψ(S) = ∅)`: the fraction of snapshots in which every
-    /// path was good — packed snapshot rows that are all-zero words.
-    pub fn prob_all_paths_good(&self) -> f64 {
-        let rows = self.observations.rows();
-        let good = simd::count_zero_rows(rows.words(), rows.words_per_row());
-        good as f64 / self.num_snapshots() as f64
-    }
-
-    /// Empirical `P(ψ(S) = ψ(A))`: the fraction of snapshots in which the
-    /// congested paths were *exactly* the given set. The target set is
-    /// packed into a word mask once, and every snapshot row is compared by
-    /// word equality.
-    pub fn prob_exactly_congested(
-        &self,
-        congested: &BTreeSet<PathId>,
-    ) -> Result<f64, MeasureError> {
-        for &p in congested {
-            self.check_path(p)?;
-        }
-        let rows = self.observations.rows();
-        let mask = rows.pack_mask(congested.iter().map(|p| p.index()));
-        let matches = simd::count_equal_rows(rows.words(), rows.words_per_row(), &mask);
-        Ok(matches as f64 / self.num_snapshots() as f64)
-    }
-
-    /// Batch form of [`ProbabilityEstimator::prob_exactly_congested`]: one
-    /// probability per target pattern, computed in a single streaming pass
-    /// over the packed snapshot rows (better cache behaviour than one pass
-    /// per pattern when, as in the theorem algorithm, every correlation
-    /// subset's coverage is queried).
-    pub fn prob_exactly_congested_batch(
-        &self,
-        patterns: &[BTreeSet<PathId>],
-    ) -> Result<Vec<f64>, MeasureError> {
-        for pattern in patterns {
-            for &p in pattern {
-                self.check_path(p)?;
-            }
-        }
-        let rows = self.observations.rows();
-        let masks: Vec<Vec<u64>> = patterns
-            .iter()
-            .map(|pattern| rows.pack_mask(pattern.iter().map(|p| p.index())))
-            .collect();
-        let mut matches = vec![0usize; patterns.len()];
-        simd::match_rows_batch(rows.words(), rows.words_per_row(), &masks, &mut matches);
-        let n = self.num_snapshots() as f64;
-        Ok(matches.into_iter().map(|m| m as f64 / n).collect())
-    }
-
     /// `log P(all given paths good)`, clamped below by the probability
     /// floor so the result is always finite. This is the right-hand side
     /// `y` of the log-linear equations in Section 4.
@@ -218,9 +326,78 @@ impl<'a> ProbabilityEstimator<'a> {
         Ok(p.max(self.probability_floor()).ln())
     }
 
+    /// Empirical `P(ψ(S) = ∅)`: the fraction of snapshots in which every
+    /// path was good.
+    pub fn prob_all_paths_good(&self) -> Result<f64, MeasureError> {
+        let n = self.snapshots_divisor()?;
+        Ok(self.all_paths_good_count() as f64 / n)
+    }
+
+    /// Empirical `P(ψ(S) = ψ(A))`: the fraction of snapshots in which the
+    /// congested paths were *exactly* the given set.
+    pub fn prob_exactly_congested(
+        &self,
+        congested: &BTreeSet<PathId>,
+    ) -> Result<f64, MeasureError> {
+        let n = self.snapshots_divisor()?;
+        Ok(self.pattern_count(congested)? as f64 / n)
+    }
+
+    /// Batch form of [`ProbabilityEstimator::prob_exactly_congested`]: one
+    /// probability per target pattern (the theorem algorithm queries every
+    /// correlation subset's coverage in one call).
+    pub fn prob_exactly_congested_batch(
+        &self,
+        patterns: &[BTreeSet<PathId>],
+    ) -> Result<Vec<f64>, MeasureError> {
+        patterns
+            .iter()
+            .map(|pattern| self.prob_exactly_congested(pattern))
+            .collect()
+    }
+
     /// Paths that were congested during at least one snapshot.
     pub fn ever_congested_paths(&self) -> Vec<PathId> {
-        self.observations.ever_congested_paths()
+        (0..self.num_paths())
+            .filter(|&p| self.lanes.lane(p).iter().any(|&w| w != 0))
+            .map(PathId)
+            .collect()
+    }
+
+    /// Copies the lanes into an owned [`PathObservations`] — the
+    /// promotion back to the heap tier.
+    pub fn to_observations(&self) -> PathObservations {
+        PathObservations::from_lanes(self.lanes.to_owned_lanes())
+    }
+
+    /// Serializes these lanes followed by `delta` as one v3 binary block —
+    /// the full-history serialization of a streaming estimator whose base
+    /// segment is this view. Off a word boundary, the delta words are
+    /// shifted into the base lanes' tail words ([`splice_lane`], the same
+    /// merge as [`PathObservations::concat`]).
+    pub fn merged_binary(&self, delta: &PathObservations) -> Result<Vec<u8>, MeasureError> {
+        if delta.num_paths() != self.num_paths() {
+            return Err(MeasureError::WrongSnapshotWidth {
+                expected: self.num_paths(),
+                actual: delta.num_paths(),
+            });
+        }
+        let base_n = self.num_snapshots();
+        let total = base_n + delta.num_snapshots();
+        let mut out = binary_header(self.num_paths(), total);
+        let mut merged = vec![0u64; total.div_ceil(WORD_BITS)];
+        for p in 0..self.num_paths() {
+            let base = self.lanes.lane(p);
+            merged[..base.len()].copy_from_slice(base);
+            merged[base.len()..].fill(0);
+            if !delta.is_empty() {
+                splice_lane(&mut merged, base_n, delta.lanes().lane(p));
+            }
+            for word in &merged {
+                out.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -272,7 +449,7 @@ mod tests {
                 .abs()
                 < 1e-12
         );
-        assert!((est.prob_all_paths_good() - 3.0 / 8.0).abs() < 1e-12);
+        assert!((est.prob_all_paths_good().unwrap() - 3.0 / 8.0).abs() < 1e-12);
         // The joint probability with an empty path list is 1 (vacuous).
         assert_eq!(est.prob_paths_good(&[]).unwrap(), 1.0);
     }
@@ -315,7 +492,7 @@ mod tests {
         // Exactly nothing congested: snapshots 0, 3, 6 -> 3/8, matching
         // prob_all_paths_good.
         let p = est.prob_exactly_congested(&BTreeSet::new()).unwrap();
-        assert!((p - est.prob_all_paths_good()).abs() < 1e-12);
+        assert!((p - est.prob_all_paths_good().unwrap()).abs() < 1e-12);
         // A pattern that never occurred.
         let p = est
             .prob_exactly_congested(&BTreeSet::from([PathId(2), PathId(1)]))
@@ -402,6 +579,130 @@ mod tests {
         let est = ProbabilityEstimator::new(&obs).unwrap();
         let p = est.prob_paths_good(&[PathId(0), PathId(1)]).unwrap();
         assert_eq!(p, good_both as f64 / 130.0);
-        assert_eq!(est.prob_all_paths_good(), all_good as f64 / 130.0);
+        assert_eq!(est.prob_all_paths_good().unwrap(), all_good as f64 / 130.0);
+    }
+
+    fn sample(paths: usize, snapshots: usize) -> PathObservations {
+        let mut obs = PathObservations::new(paths);
+        let mut row = vec![false; paths];
+        for s in 0..snapshots {
+            for (p, bit) in row.iter_mut().enumerate() {
+                *bit = (s * 7 + p * 13) % 5 == 0 || (s + p) % 11 == 0;
+            }
+            obs.record_snapshot(&row).unwrap();
+        }
+        obs
+    }
+
+    #[test]
+    fn borrowed_view_matches_owned_bits() {
+        let obs = sample(4, 150);
+        let view = ProbabilityEstimator::new(&obs).unwrap();
+        assert_eq!(view.num_paths(), 4);
+        assert_eq!(view.num_snapshots(), 150);
+        for p in 0..4 {
+            assert_eq!(view.lanes().count_ones(p), obs.lanes().count_ones(p));
+            for s in 0..150 {
+                assert_eq!(view.lanes().get(p, s), obs.lanes().get(p, s));
+            }
+        }
+        assert_eq!(view.ever_congested_paths(), obs.ever_congested_paths());
+    }
+
+    /// Copies `block` into an 8-byte-aligned buffer and parses it in place.
+    #[cfg(target_endian = "little")]
+    #[allow(unsafe_code)]
+    fn aligned(block: &[u8]) -> Vec<u64> {
+        let mut words = vec![0u64; block.len().div_ceil(8)];
+        // SAFETY: reinterpreting `u64`s as bytes is valid for any value.
+        unsafe { words.align_to_mut::<u8>().1[..block.len()].copy_from_slice(block) };
+        words
+    }
+
+    #[cfg(target_endian = "little")]
+    #[allow(unsafe_code)]
+    fn as_bytes(words: &[u64], len: usize) -> &[u8] {
+        // SAFETY: every `u64` is valid as eight bytes; `len` is in bounds.
+        unsafe { &words.align_to::<u8>().1[..len] }
+    }
+
+    #[cfg(target_endian = "little")]
+    #[test]
+    fn zero_copy_parse_round_trips() {
+        let obs = sample(5, 203);
+        let block = obs.to_binary();
+        let words = aligned(&block);
+        let view = ProbabilityEstimator::parse(as_bytes(&words, block.len())).unwrap();
+        assert_eq!(view.num_paths(), 5);
+        assert_eq!(view.num_snapshots(), 203);
+        assert_eq!(view.to_observations(), obs);
+    }
+
+    #[cfg(target_endian = "little")]
+    #[test]
+    fn zero_copy_parse_rejects_corruption() {
+        let obs = sample(3, 70);
+        let mut block = obs.to_binary();
+        // Dirty tail: set a bit beyond snapshot 70 in lane 0's last word.
+        block[BINARY_HEADER_LEN + 15] |= 0x80;
+        let words = aligned(&block);
+        let err = ProbabilityEstimator::parse(as_bytes(&words, block.len())).unwrap_err();
+        assert!(err.to_string().contains("beyond slot"), "got: {err}");
+        // Misaligned region: skip one byte.
+        block[BINARY_HEADER_LEN + 15] &= !0x80;
+        let mut shifted = vec![0u8; 1];
+        shifted.extend_from_slice(&block);
+        let words = aligned(&shifted);
+        let bytes = as_bytes(&words, shifted.len());
+        let err = ProbabilityEstimator::parse(&bytes[1..]).unwrap_err();
+        assert!(err.to_string().contains("aligned"), "got: {err}");
+    }
+
+    #[test]
+    fn merged_binary_equals_replayed_serialization() {
+        // Aligned (128) and unaligned (57, 191) base boundaries.
+        for split in [0usize, 57, 128, 191, 260] {
+            let whole = sample(3, 260);
+            let base = {
+                let mut b = PathObservations::new(3);
+                for s in 0..split {
+                    b.record_snapshot(&whole.snapshot(s)).unwrap();
+                }
+                b
+            };
+            let delta = {
+                let mut d = PathObservations::new(3);
+                for s in split..260 {
+                    d.record_snapshot(&whole.snapshot(s)).unwrap();
+                }
+                d
+            };
+            let view = ProbabilityEstimator::from_lanes(base.lanes().as_view());
+            let merged = view.merged_binary(&delta).unwrap();
+            assert_eq!(merged, whole.to_binary(), "split at {split}");
+        }
+        // Path-count mismatch is rejected.
+        let base = sample(3, 10);
+        let view = ProbabilityEstimator::new(&base).unwrap();
+        assert!(view.merged_binary(&PathObservations::new(2)).is_err());
+    }
+
+    #[test]
+    fn empty_views_error_instead_of_dividing_by_zero() {
+        let obs = PathObservations::new(3);
+        let view = ProbabilityEstimator::from_lanes(obs.lanes().as_view());
+        assert!(view.is_empty());
+        assert_eq!(
+            view.prob_path_good(PathId(0)).unwrap_err(),
+            MeasureError::NoSnapshots
+        );
+        assert_eq!(
+            view.prob_all_paths_good().unwrap_err(),
+            MeasureError::NoSnapshots
+        );
+        assert_eq!(
+            view.prob_exactly_congested(&BTreeSet::new()).unwrap_err(),
+            MeasureError::NoSnapshots
+        );
     }
 }

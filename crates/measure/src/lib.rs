@@ -6,31 +6,31 @@
 //!
 //! * [`PathObservations`] — the bit-packed container of those per-snapshot
 //!   Boolean path observations, produced by the simulator (or, in a real
-//!   deployment, by an active-probing measurement system). It maintains a
-//!   *path-major* lane view and a *snapshot-major* row view at once
-//!   (see [`bitset`]), 2 bits per cell in total.
+//!   deployment, by an active-probing measurement system). It stores one
+//!   *path-major* lane per path (see [`bitset`]), 1 bit per cell, in
+//!   exactly the layout of the v3 binary format.
 //! * [`ProbabilityEstimator`] — empirical estimators of every probability
 //!   the algorithms need: `P(Y_i = 0)` (a path is good), joint
 //!   `P(Y_i = 0, Y_j = 0)`, `P(ψ(S) = ∅)` (all paths good) and
-//!   `P(ψ(S) = ψ(A))` (a given set of paths are the only congested ones).
-//!   Joint queries are AND/popcount over packed lanes; exact-state queries
-//!   are word-equality of packed rows against a packed target mask. Batch
-//!   entry points serve the equation builder and the theorem algorithm
-//!   without per-query rescans.
+//!   `P(ψ(S) = ψ(A))` (a given set of paths are the only congested ones),
+//!   all as counts over borrowed lane words. Joint queries are
+//!   AND/popcount kernels; exact-state and all-good queries are lane-major
+//!   sweeps with early exits. Batch entry points serve the equation
+//!   builder and the theorem algorithm without per-query rescans. The
+//!   same type is the zero-copy tier: it borrows a heap store, a v3 block
+//!   parsed in place, or a mapped file.
 //! * [`StreamingEstimator`] — the online variant: accumulators updated in
 //!   O(1) per pushed snapshot, so registered pair / pattern queries are
 //!   O(1) counter reads with no lane scan (long-running deployments
 //!   re-estimate per snapshot batch at constant incremental cost).
-//! * [`ObservationsView`] / [`MappedObservations`] — the zero-copy
-//!   memory tier: a lifetime-parameterized view answering every
-//!   estimator query over *borrowed* lane words, and an owning handle
-//!   that memory-maps a v3 observation file straight into that view (no
-//!   word copy, no row rebuild). The streaming estimator can seed its
+//! * [`MappedObservations`] — an owning handle that memory-maps a v3
+//!   observation file and hands out a [`ProbabilityEstimator`] over the
+//!   mapped words (no word copy). The streaming estimator can seed its
 //!   accumulators from a mapped history segment, which is how the
 //!   daemon survives restarts without re-ingesting its stream.
-//! * [`bitset::simd`] — the SIMD kernel ladder behind all estimators:
-//!   AVX-512 `vpopcntdq` kernels (8 words/instruction), AVX2 popcount /
-//!   row-matching kernels (4 words/instruction), and a 4-wide unrolled
+//! * [`bitset::simd`] — the SIMD kernel ladder behind the joint-goodness
+//!   queries: AVX-512 `vpopcntdq` kernels (8 words/instruction), AVX2
+//!   popcount kernels (4 words/instruction), and a 4-wide unrolled
 //!   portable fallback, selected per call by runtime feature detection
 //!   and all bit-exact against each other and the scalar reference.
 //! * [`reference`] — the scalar (one-`bool`-per-cell) implementation kept
@@ -45,7 +45,8 @@
 // `deny` rather than `forbid`: the SIMD kernel tiers in `bitset::simd`
 // (runtime feature detection guards every `#[target_feature]` call), the
 // raw mmap binding in `mapped`, and the byte→word reinterpretation in
-// `view` are the explicitly allowed `unsafe` islands in this crate.
+// `ProbabilityEstimator::parse` are the explicitly allowed `unsafe`
+// islands in this crate.
 #![deny(unsafe_code)]
 
 pub mod bitset;
@@ -55,7 +56,6 @@ pub mod mapped;
 pub mod observation;
 pub mod reference;
 pub mod streaming;
-pub mod view;
 
 pub use bitset::{BitLanes, BitLanesView, BitMatrix};
 pub use error::MeasureError;
@@ -63,4 +63,3 @@ pub use estimator::ProbabilityEstimator;
 pub use mapped::MappedObservations;
 pub use observation::PathObservations;
 pub use streaming::StreamingEstimator;
-pub use view::ObservationsView;

@@ -5,10 +5,10 @@
 //! ([`crate::observation::PathObservations::to_binary`]) and serves it
 //! query-ready without copying a single lane word: the file is mapped
 //! read-only, the 24-byte header is validated, the zero-tail invariant
-//! is checked per lane, and [`MappedObservations::view`] hands out an
-//! [`ObservationsView`] borrowing the mapped words directly. A 1 GiB
-//! history becomes queryable in microseconds instead of the
-//! seconds-long word copy + row-transposition a heap load performs.
+//! is checked per lane, and [`MappedObservations::view`] hands out a
+//! [`ProbabilityEstimator`] borrowing the mapped words directly. A 1 GiB
+//! history becomes queryable in microseconds instead of the word copy a
+//! heap load performs.
 //!
 //! The mapping is implemented with raw `mmap`/`munmap` syscalls (this
 //! workspace vendors no libc binding), gated to Linux/x86-64; on other
@@ -33,8 +33,8 @@ use std::sync::Arc;
 
 use crate::bitset::BitLanesView;
 use crate::error::MeasureError;
+use crate::estimator::ProbabilityEstimator;
 use crate::observation::{parse_binary_header, BINARY_HEADER_LEN};
-use crate::view::ObservationsView;
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sys {
@@ -334,15 +334,15 @@ impl MappedObservations {
         self.inner.region.backing()
     }
 
-    /// A query-ready view over the file's payload lane words.
-    pub fn view(&self) -> ObservationsView<'_> {
+    /// A query-ready estimator over the file's payload lane words.
+    pub fn view(&self) -> ProbabilityEstimator<'_> {
         let lanes = BitLanesView::try_from_lane_words(
             self.inner.num_paths,
             self.inner.num_snapshots,
             &self.inner.region.words()[..self.inner.payload_words],
         )
         .expect("lane words were validated when the file was opened");
-        ObservationsView::new(lanes)
+        ProbabilityEstimator::from_lanes(lanes)
     }
 }
 
@@ -379,12 +379,12 @@ mod tests {
         assert!(["mmap", "heap"].contains(&mapped.backing()));
         #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
         assert_eq!(mapped.backing(), "mmap");
-        assert_eq!(mapped.view().to_observations().unwrap(), obs);
+        assert_eq!(mapped.view().to_observations(), obs);
 
         // The heap control arm agrees bit for bit.
         let heap = MappedObservations::open_heap(&path).unwrap();
         assert_eq!(heap.backing(), "heap");
-        assert_eq!(heap.view().to_observations().unwrap(), obs);
+        assert_eq!(heap.view().to_observations(), obs);
 
         // Clones share the mapping and survive the original being
         // dropped.
@@ -444,7 +444,7 @@ mod tests {
         let mapped = MappedObservations::open_prefix(&path, block.len()).unwrap();
         assert_eq!(mapped.num_snapshots(), 77);
         assert_eq!(mapped.byte_len(), block.len() + 32);
-        assert_eq!(mapped.view().to_observations().unwrap(), obs);
+        assert_eq!(mapped.view().to_observations(), obs);
 
         // Whole-file open of the same bytes fails (length mismatch), so
         // the prefix form is genuinely load-bearing.
@@ -459,7 +459,7 @@ mod tests {
         // `open_prefix(len) == open` on a footer-less file.
         fs::write(&path, &block).unwrap();
         let exact = MappedObservations::open_prefix(&path, block.len()).unwrap();
-        assert_eq!(exact.view().to_observations().unwrap(), obs);
+        assert_eq!(exact.view().to_observations(), obs);
         fs::remove_file(&path).unwrap();
     }
 

@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use netcorr_topology::path::PathId;
 
-use crate::bitset::{BitLanes, BitMatrix};
+use crate::bitset::{BitLanes, WORD_BITS};
 use crate::error::MeasureError;
 
 /// Version tag of the [`PathObservations`] textual (debug) wire format.
@@ -17,52 +17,43 @@ pub const BINARY_MAGIC: &[u8; 8] = b"NCOBSv3\n";
 /// The outcome of an experiment: for every snapshot, the congestion status
 /// (`true` = congested) of every measurement path.
 ///
-/// Observations are stored **bit-packed in two layouts at once**:
+/// Observations are stored **bit-packed, path-major** ([`BitLanes`]): one
+/// packed bit-vector per path, one bit per snapshot. Every estimator query
+/// reduces to AND/OR/popcount sweeps over `u64` lane words, 64 snapshots
+/// at a time (see [`crate::ProbabilityEstimator`]), and the in-memory
+/// layout is exactly the v3 binary payload, so loading and merging are
+/// word copies.
 ///
-/// * *path-major lanes* ([`BitLanes`]) — one packed bit-vector per path,
-///   one bit per snapshot. Marginal and joint path queries
-///   (`P(Y_i = 0)`, `P(Y_i = 0, Y_j = 0)`) reduce to AND/popcount over
-///   `u64` words, 64 snapshots at a time.
-/// * *snapshot-major rows* ([`BitMatrix`]) — one packed row per snapshot.
-///   Exact-state queries (`P(ψ(S) = ψ(A))`, `P(ψ(S) = ∅)`) reduce to
-///   word-equality of each row against a packed target mask.
-///
-/// Together they cost 2 bits per path×snapshot cell — a 1500-path
-/// experiment with 4096 snapshots occupies ~1.5 MiB, 4× less than the
-/// previous one-`bool`-per-cell layout while answering every estimator
-/// query ~64× faster.
+/// That costs 1 bit per path×snapshot cell — a 1500-path experiment with
+/// 4096 snapshots occupies 750 KiB, 8× less than a one-`bool`-per-cell
+/// layout. Per-snapshot accessors ([`PathObservations::snapshot`],
+/// [`PathObservations::congested_paths`]) read one bit from every lane.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PathObservations {
-    num_paths: usize,
-    /// Path-major packed view: lane `p` holds path `p`'s bits.
+    /// Lane `p` holds path `p`'s bits.
     lanes: BitLanes,
-    /// Snapshot-major packed view: row `s` holds snapshot `s`'s bits.
-    rows: BitMatrix,
 }
 
 impl PathObservations {
     /// Creates an empty observation container for `num_paths` paths.
     pub fn new(num_paths: usize) -> Self {
-        PathObservations {
-            num_paths,
-            lanes: BitLanes::new(num_paths),
-            rows: BitMatrix::new(num_paths),
-        }
+        Self::from_lanes(BitLanes::new(num_paths))
     }
 
     /// Creates an empty container with capacity pre-allocated for
     /// `snapshots` snapshots.
     pub fn with_capacity(num_paths: usize, snapshots: usize) -> Self {
-        PathObservations {
-            num_paths,
-            lanes: BitLanes::with_capacity(num_paths, snapshots),
-            rows: BitMatrix::with_capacity(num_paths, snapshots),
-        }
+        Self::from_lanes(BitLanes::with_capacity(num_paths, snapshots))
+    }
+
+    /// Wraps packed lanes: lane `p` becomes path `p`.
+    pub(crate) fn from_lanes(lanes: BitLanes) -> Self {
+        PathObservations { lanes }
     }
 
     /// Number of paths per snapshot.
     pub fn num_paths(&self) -> usize {
-        self.num_paths
+        self.lanes.num_lanes()
     }
 
     /// Number of snapshots recorded so far.
@@ -77,14 +68,13 @@ impl PathObservations {
 
     /// Records one snapshot: `congested[i]` is the status of path `i`.
     pub fn record_snapshot(&mut self, congested: &[bool]) -> Result<(), MeasureError> {
-        if congested.len() != self.num_paths {
+        if congested.len() != self.num_paths() {
             return Err(MeasureError::WrongSnapshotWidth {
-                expected: self.num_paths,
+                expected: self.num_paths(),
                 actual: congested.len(),
             });
         }
         self.lanes.push_slot(congested);
-        self.rows.push_row(congested);
         Ok(())
     }
 
@@ -95,7 +85,14 @@ impl PathObservations {
     ///
     /// Panics if the snapshot index is out of range.
     pub fn snapshot(&self, snapshot: usize) -> Vec<bool> {
-        self.rows.row_bools(snapshot)
+        assert!(
+            snapshot < self.num_snapshots(),
+            "snapshot {snapshot} out of range ({} recorded)",
+            self.num_snapshots()
+        );
+        (0..self.num_paths())
+            .map(|p| self.lanes.get(p, snapshot))
+            .collect()
     }
 
     /// Whether `path` was congested during `snapshot`.
@@ -104,22 +101,18 @@ impl PathObservations {
     ///
     /// Panics if either index is out of range.
     pub fn is_congested(&self, snapshot: usize, path: PathId) -> bool {
-        self.rows.get(snapshot, path.index())
+        self.lanes.get(path.index(), snapshot)
     }
 
     /// The set of congested paths during `snapshot`, in increasing path
     /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot index is out of range.
     pub fn congested_paths(&self, snapshot: usize) -> Vec<PathId> {
-        let mut paths = Vec::new();
-        for (word_idx, &word) in self.rows.row_words(snapshot).iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                paths.push(PathId(word_idx * crate::bitset::WORD_BITS + bit));
-                bits &= bits - 1;
-            }
-        }
-        paths
+        let row = self.snapshot(snapshot);
+        (0..row.len()).filter(|&p| row[p]).map(PathId).collect()
     }
 
     /// Fraction of snapshots during which `path` was congested (its
@@ -128,10 +121,10 @@ impl PathObservations {
         if self.is_empty() {
             return Err(MeasureError::NoSnapshots);
         }
-        if path.index() >= self.num_paths {
+        if path.index() >= self.num_paths() {
             return Err(MeasureError::UnknownPath {
                 index: path.index(),
-                num_paths: self.num_paths,
+                num_paths: self.num_paths(),
             });
         }
         let congested = self.lanes.count_ones(path.index());
@@ -140,42 +133,31 @@ impl PathObservations {
 
     /// Iterates over snapshots as unpacked Boolean vectors.
     pub fn snapshots(&self) -> impl Iterator<Item = Vec<bool>> + '_ {
-        (0..self.num_snapshots()).map(|s| self.rows.row_bools(s))
+        (0..self.num_snapshots()).map(|s| self.snapshot(s))
     }
 
     /// Paths that were congested during at least one snapshot — the
     /// "potentially congested" notion is defined over *links*, but this
     /// per-path view is what it is derived from.
     pub fn ever_congested_paths(&self) -> Vec<PathId> {
-        (0..self.num_paths)
+        (0..self.num_paths())
             .filter(|&p| self.lanes.lane(p).iter().any(|&w| w != 0))
             .map(PathId)
             .collect()
     }
 
     /// Appends every snapshot of `other` after this container's
-    /// snapshots — the shard-merge operation. When this container ends on
-    /// a word boundary (the shard splitter guarantees it for every
-    /// boundary but the last), both packed views are merged by word-level
-    /// copies; otherwise the snapshots are replayed bit by bit.
+    /// snapshots — the shard-merge operation, a word-level copy (or
+    /// word-shifted merge, off a word boundary) per lane
+    /// ([`BitLanes::concat`]).
     pub fn concat(&mut self, other: &PathObservations) -> Result<(), MeasureError> {
-        if other.num_paths != self.num_paths {
+        if other.num_paths() != self.num_paths() {
             return Err(MeasureError::WrongSnapshotWidth {
-                expected: self.num_paths,
-                actual: other.num_paths,
+                expected: self.num_paths(),
+                actual: other.num_paths(),
             });
         }
-        if self
-            .num_snapshots()
-            .is_multiple_of(crate::bitset::WORD_BITS)
-        {
-            self.lanes.concat(&other.lanes);
-            self.rows.concat(&other.rows);
-        } else {
-            for snapshot in other.snapshots() {
-                self.record_snapshot(&snapshot)?;
-            }
-        }
+        self.lanes.concat(&other.lanes);
         Ok(())
     }
 
@@ -183,11 +165,6 @@ impl PathObservations {
     /// the recorded snapshots are zero).
     pub fn lanes(&self) -> &BitLanes {
         &self.lanes
-    }
-
-    /// The snapshot-major packed rows (one word slice per snapshot).
-    pub fn rows(&self) -> &BitMatrix {
-        &self.rows
     }
 
     /// Serializes the observations into the versioned, line-oriented wire
@@ -207,12 +184,12 @@ impl PathObservations {
     /// placeholders so the format stays line-parseable.
     pub fn to_wire(&self) -> String {
         let used = self.num_snapshots().div_ceil(64);
-        let mut out = String::with_capacity(64 + self.num_paths * (6 + 16 * used));
+        let mut out = String::with_capacity(64 + self.num_paths() * (6 + 16 * used));
         out.push_str(WIRE_FORMAT);
         out.push('\n');
-        out.push_str(&format!("paths {}\n", self.num_paths));
+        out.push_str(&format!("paths {}\n", self.num_paths()));
         out.push_str(&format!("snapshots {}\n", self.num_snapshots()));
-        for path in 0..self.num_paths {
+        for path in 0..self.num_paths() {
             out.push_str("lane ");
             if used == 0 {
                 out.push('-');
@@ -297,10 +274,8 @@ impl PathObservations {
         Self::from_lane_word_data(num_paths, num_snapshots, &words)
     }
 
-    /// Builds a container from validated lane words (`num_paths`
-    /// consecutive groups of `⌈num_snapshots/64⌉` words): the lane view is
-    /// loaded by word-level copy, the snapshot-major row view is rebuilt
-    /// by transposition.
+    /// Builds a container from lane words (`num_paths` consecutive groups
+    /// of `⌈num_snapshots/64⌉` words), validated and copied word by word.
     fn from_lane_word_data(
         num_paths: usize,
         num_snapshots: usize,
@@ -316,19 +291,7 @@ impl PathObservations {
             return Ok(PathObservations::new(num_paths));
         }
         let lanes = BitLanes::try_from_lane_words(num_paths, num_snapshots, words)?;
-        let mut rows = BitMatrix::with_capacity(num_paths, num_snapshots);
-        let mut snapshot = vec![false; num_paths];
-        for s in 0..num_snapshots {
-            for (p, bit) in snapshot.iter_mut().enumerate() {
-                *bit = lanes.get(p, s);
-            }
-            rows.push_row(&snapshot);
-        }
-        Ok(PathObservations {
-            num_paths,
-            lanes,
-            rows,
-        })
+        Ok(Self::from_lanes(lanes))
     }
 
     /// Serializes the observations into the binary wire format
@@ -344,12 +307,9 @@ impl PathObservations {
     /// [`PathObservations::to_wire`] format stays as the debuggable
     /// variant.
     pub fn to_binary(&self) -> Vec<u8> {
-        let used = self.num_snapshots().div_ceil(crate::bitset::WORD_BITS);
-        let mut out = Vec::with_capacity(24 + self.num_paths * used * 8);
-        out.extend_from_slice(BINARY_MAGIC);
-        out.extend_from_slice(&(self.num_paths as u64).to_le_bytes());
-        out.extend_from_slice(&(self.num_snapshots() as u64).to_le_bytes());
-        for path in 0..self.num_paths {
+        let used = self.num_snapshots().div_ceil(WORD_BITS);
+        let mut out = binary_header(self.num_paths(), self.num_snapshots());
+        for path in 0..self.num_paths() {
             for &word in &self.lanes.lane(path)[..used] {
                 out.extend_from_slice(&word.to_le_bytes());
             }
@@ -358,8 +318,8 @@ impl PathObservations {
     }
 
     /// Parses the binary wire format produced by
-    /// [`PathObservations::to_binary`]. The lane words are copied straight
-    /// into the packed lane view; only the redundant row view is rebuilt.
+    /// [`PathObservations::to_binary`]: the payload is decoded word by word
+    /// straight into the packed lanes, with no per-bit work.
     pub fn from_binary(bytes: &[u8]) -> Result<Self, MeasureError> {
         let (num_paths, num_snapshots) = parse_binary_header(bytes)?;
         let words: Vec<u64> = bytes[BINARY_HEADER_LEN..]
@@ -373,6 +333,17 @@ impl PathObservations {
 /// Length of the fixed v3 header: [`BINARY_MAGIC`] plus two little-endian
 /// `u64` counts.
 pub const BINARY_HEADER_LEN: usize = 24;
+
+/// A v3 header for `num_paths × num_snapshots`, in a buffer with room for
+/// the lane words that follow it.
+pub(crate) fn binary_header(num_paths: usize, num_snapshots: usize) -> Vec<u8> {
+    let used = num_snapshots.div_ceil(WORD_BITS);
+    let mut out = Vec::with_capacity(BINARY_HEADER_LEN + num_paths * used * 8);
+    out.extend_from_slice(BINARY_MAGIC);
+    out.extend_from_slice(&(num_paths as u64).to_le_bytes());
+    out.extend_from_slice(&(num_snapshots as u64).to_le_bytes());
+    out
+}
 
 /// Validates a v3 binary observation block's header — magic, counts, and
 /// the exact total length implied by them — and returns
@@ -398,7 +369,7 @@ pub fn parse_binary_header(bytes: &[u8]) -> Result<(usize, usize), MeasureError>
         .map_err(|_| MeasureError::Wire("path count overflows usize".to_string()))?;
     let num_snapshots = usize::try_from(read_u64(16))
         .map_err(|_| MeasureError::Wire("snapshot count overflows usize".to_string()))?;
-    let used = num_snapshots.div_ceil(crate::bitset::WORD_BITS);
+    let used = num_snapshots.div_ceil(WORD_BITS);
     let expected = BINARY_HEADER_LEN
         + num_paths
             .checked_mul(used)
@@ -415,12 +386,10 @@ pub fn parse_binary_header(bytes: &[u8]) -> Result<(usize, usize), MeasureError>
 }
 
 impl PartialEq for PathObservations {
-    /// Logical equality: same paths, same snapshots, same bits (the two
-    /// packed views are redundant, so comparing the row view suffices).
+    /// Logical equality: same paths, same snapshots, same bits (capacity
+    /// is ignored).
     fn eq(&self, other: &Self) -> bool {
-        self.num_paths == other.num_paths
-            && self.num_snapshots() == other.num_snapshots()
-            && self.rows == other.rows
+        self.lanes == other.lanes
     }
 }
 
@@ -520,10 +489,13 @@ mod tests {
 
     #[test]
     fn packed_views_agree() {
+        // The per-snapshot accessors are transposed reads of the lanes.
         let obs = sample_observations();
         for s in 0..obs.num_snapshots() {
+            let row = obs.snapshot(s);
             for p in 0..obs.num_paths() {
-                assert_eq!(obs.lanes().get(p, s), obs.rows().get(s, p));
+                assert_eq!(obs.lanes().get(p, s), row[p]);
+                assert_eq!(obs.is_congested(s, PathId(p)), row[p]);
             }
         }
     }
@@ -561,12 +533,6 @@ mod tests {
             }
             left.concat(&right).unwrap();
             assert_eq!(left, whole);
-            // Both packed views stay in sync.
-            for s in 0..200 {
-                for p in 0..2 {
-                    assert_eq!(left.lanes().get(p, s), whole.rows().get(s, p));
-                }
-            }
         }
         // Width mismatch is rejected.
         let mut a = PathObservations::new(2);

@@ -1,24 +1,23 @@
 //! Explicit SIMD kernels for the packed estimator hot paths.
 //!
-//! Every estimator query bottoms out in one of three word-level kernels
-//! over the packed representations of [`super::BitLanes`] /
-//! [`super::BitMatrix`]:
+//! The joint-goodness queries bottom out in two word-level kernels over
+//! the packed lanes of [`super::BitLanes`]:
 //!
 //! * **pair-good popcount** — `Σ_w popcount(!(a_w | b_w) & m_w)`, the
 //!   count of snapshots in which *both* paths of a pair were good
 //!   (`!a & !b = !(a | b)` by De Morgan, saving one NOT per word);
 //! * **all-good popcount** — the k-lane generalisation, ANDing the
-//!   complements of any number of lanes;
-//! * **row-mask matching** — counting packed snapshot rows that are
-//!   word-equal to a target mask (or all-zero, for `P(ψ(S) = ∅)`).
+//!   complements of any number of lanes.
+//!
+//! (Exact-state and all-paths-good counts are plain lane-major sweeps in
+//! [`crate::ProbabilityEstimator`], whose early exits beat a vector tier.)
 //!
 //! Each kernel exists in four tiers:
 //!
 //! 1. `*_avx512` — AVX-512 `std::arch` intrinsics, processing eight
 //!    `u64` words per instruction. Popcounts are a single `vpopcntdq`
-//!    (`_mm512_popcnt_epi64`) per vector — no nibble lookup at all —
-//!    and row comparisons collapse to one `vpcmpeqq` mask test. Gated
-//!    on `avx512f` **and** `avx512vpopcntdq` (Ice Lake / Zen 4 and
+//!    (`_mm512_popcnt_epi64`) per vector — no nibble lookup at all.
+//!    Gated on `avx512f` **and** `avx512vpopcntdq` (Ice Lake / Zen 4 and
 //!    newer).
 //! 2. `*_avx2` — AVX2 intrinsics, four `u64` words per instruction.
 //!    Popcounts use the classic nibble-lookup (`vpshufb` against a
@@ -36,9 +35,9 @@
 //! All tiers are `pub` so the differential test suite can assert
 //! bit-exact agreement between them (and against the scalar reference
 //! implementation in [`crate::reference`]) on random inputs. The
-//! `_avx512` / `_avx2` entry points return `None` (or report `false`)
-//! when the CPU lacks the feature instead of exposing `unsafe` to
-//! callers, so tests skip cleanly on older hardware.
+//! `_avx512` / `_avx2` entry points return `None` when the CPU lacks the
+//! feature instead of exposing `unsafe` to callers, so tests skip cleanly
+//! on older hardware.
 //!
 //! # Conventions
 //!
@@ -46,9 +45,6 @@
 //! stored tail bits beyond the logical slot count are zero; because the
 //! kernels complement the words, the caller passes `tail_mask`
 //! ([`super::tail_mask`]) to zero the phantom slots of the last word.
-//! Row buffers are `num_rows × words_per_row` contiguous words with the
-//! same zero-tail invariant, which row masks share, so row matching
-//! never needs masking.
 
 // The SIMD tiers are the one place in this crate where `unsafe` is
 // justified: `#[target_feature]` functions are only called behind a
@@ -261,220 +257,6 @@ pub fn all_good_count_avx512(lanes: &[&[u64]], used: usize, tail_mask: u64) -> O
     None
 }
 
-/// Counts the rows of a packed row buffer (`num_rows × words_per_row`
-/// contiguous words) that are word-equal to `mask`.
-#[inline]
-pub fn count_equal_rows(words: &[u64], words_per_row: usize, mask: &[u64]) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx512_available() {
-            // SAFETY: AVX-512 support was just verified at runtime.
-            return unsafe { avx512::count_equal_rows(words, words_per_row, mask) };
-        }
-        if avx2_available() {
-            // SAFETY: AVX2 support was just verified at runtime.
-            return unsafe { avx2::count_equal_rows(words, words_per_row, mask) };
-        }
-    }
-    count_equal_rows_portable(words, words_per_row, mask)
-}
-
-/// Portable tier of [`count_equal_rows`].
-pub fn count_equal_rows_portable(words: &[u64], words_per_row: usize, mask: &[u64]) -> usize {
-    assert_eq!(mask.len(), words_per_row, "mask width must match rows");
-    if words_per_row == 0 {
-        return 0;
-    }
-    words
-        .chunks_exact(words_per_row)
-        .filter(|row| *row == mask)
-        .count()
-}
-
-/// AVX2 tier of [`count_equal_rows`]; `None` when the CPU lacks AVX2.
-pub fn count_equal_rows_avx2(words: &[u64], words_per_row: usize, mask: &[u64]) -> Option<usize> {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was just verified at runtime.
-        return Some(unsafe { avx2::count_equal_rows(words, words_per_row, mask) });
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (words, words_per_row, mask);
-    None
-}
-
-/// AVX-512 tier of [`count_equal_rows`]; `None` when the CPU lacks
-/// `avx512f`/`avx512vpopcntdq`.
-pub fn count_equal_rows_avx512(words: &[u64], words_per_row: usize, mask: &[u64]) -> Option<usize> {
-    #[cfg(target_arch = "x86_64")]
-    if avx512_available() {
-        // SAFETY: AVX-512 support was just verified at runtime.
-        return Some(unsafe { avx512::count_equal_rows(words, words_per_row, mask) });
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (words, words_per_row, mask);
-    None
-}
-
-/// For each mask in `masks`, counts the rows word-equal to it, in a
-/// single streaming pass over the row buffer (rows outer, masks inner —
-/// the row stays in registers while every mask is tried against it).
-pub fn match_rows_batch(
-    words: &[u64],
-    words_per_row: usize,
-    masks: &[Vec<u64>],
-    counts: &mut [usize],
-) {
-    assert_eq!(masks.len(), counts.len(), "one count slot per mask");
-    if words_per_row == 0 || masks.is_empty() {
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx512_available() {
-            // SAFETY: AVX-512 support was just verified at runtime.
-            unsafe { avx512::match_rows_batch(words, words_per_row, masks, counts) };
-            return;
-        }
-        if avx2_available() {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { avx2::match_rows_batch(words, words_per_row, masks, counts) };
-            return;
-        }
-    }
-    match_rows_batch_portable(words, words_per_row, masks, counts);
-}
-
-/// AVX2 tier of [`match_rows_batch`]; reports `false` (leaving `counts`
-/// untouched) when the CPU lacks AVX2.
-pub fn match_rows_batch_avx2(
-    words: &[u64],
-    words_per_row: usize,
-    masks: &[Vec<u64>],
-    counts: &mut [usize],
-) -> bool {
-    assert_eq!(masks.len(), counts.len(), "one count slot per mask");
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        if words_per_row == 0 || masks.is_empty() {
-            return true;
-        }
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { avx2::match_rows_batch(words, words_per_row, masks, counts) };
-        return true;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (words, words_per_row, masks, counts);
-    false
-}
-
-/// AVX-512 tier of [`match_rows_batch`]; reports `false` (leaving
-/// `counts` untouched) when the CPU lacks `avx512f`/`avx512vpopcntdq`.
-pub fn match_rows_batch_avx512(
-    words: &[u64],
-    words_per_row: usize,
-    masks: &[Vec<u64>],
-    counts: &mut [usize],
-) -> bool {
-    assert_eq!(masks.len(), counts.len(), "one count slot per mask");
-    #[cfg(target_arch = "x86_64")]
-    if avx512_available() {
-        if words_per_row == 0 || masks.is_empty() {
-            return true;
-        }
-        // SAFETY: AVX-512 support was just verified at runtime.
-        unsafe { avx512::match_rows_batch(words, words_per_row, masks, counts) };
-        return true;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (words, words_per_row, masks, counts);
-    false
-}
-
-/// Every mask must be exactly one row wide; like [`check_lanes`] this is
-/// a soundness bound for the AVX2 tier's raw mask loads.
-#[inline]
-fn check_masks(masks: &[Vec<u64>], words_per_row: usize) {
-    for (i, mask) in masks.iter().enumerate() {
-        assert_eq!(mask.len(), words_per_row, "mask {i} width must match rows");
-    }
-}
-
-/// Portable tier of [`match_rows_batch`].
-pub fn match_rows_batch_portable(
-    words: &[u64],
-    words_per_row: usize,
-    masks: &[Vec<u64>],
-    counts: &mut [usize],
-) {
-    assert_eq!(masks.len(), counts.len(), "one count slot per mask");
-    check_masks(masks, words_per_row);
-    if words_per_row == 0 {
-        return;
-    }
-    for row in words.chunks_exact(words_per_row) {
-        for (mask, count) in masks.iter().zip(counts.iter_mut()) {
-            if row == mask.as_slice() {
-                *count += 1;
-            }
-        }
-    }
-}
-
-/// Counts the all-zero rows of a packed row buffer (`P(ψ(S) = ∅)`:
-/// snapshots in which every path was good).
-#[inline]
-pub fn count_zero_rows(words: &[u64], words_per_row: usize) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx512_available() {
-            // SAFETY: AVX-512 support was just verified at runtime.
-            return unsafe { avx512::count_zero_rows(words, words_per_row) };
-        }
-        if avx2_available() {
-            // SAFETY: AVX2 support was just verified at runtime.
-            return unsafe { avx2::count_zero_rows(words, words_per_row) };
-        }
-    }
-    count_zero_rows_portable(words, words_per_row)
-}
-
-/// Portable tier of [`count_zero_rows`].
-pub fn count_zero_rows_portable(words: &[u64], words_per_row: usize) -> usize {
-    if words_per_row == 0 {
-        return 0;
-    }
-    words
-        .chunks_exact(words_per_row)
-        .filter(|row| row.iter().all(|&w| w == 0))
-        .count()
-}
-
-/// AVX2 tier of [`count_zero_rows`]; `None` when the CPU lacks AVX2.
-pub fn count_zero_rows_avx2(words: &[u64], words_per_row: usize) -> Option<usize> {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was just verified at runtime.
-        return Some(unsafe { avx2::count_zero_rows(words, words_per_row) });
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (words, words_per_row);
-    None
-}
-
-/// AVX-512 tier of [`count_zero_rows`]; `None` when the CPU lacks
-/// `avx512f`/`avx512vpopcntdq`.
-pub fn count_zero_rows_avx512(words: &[u64], words_per_row: usize) -> Option<usize> {
-    #[cfg(target_arch = "x86_64")]
-    if avx512_available() {
-        // SAFETY: AVX-512 support was just verified at runtime.
-        return Some(unsafe { avx512::count_zero_rows(words, words_per_row) });
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (words, words_per_row);
-    None
-}
-
 /// Whether the AVX2 kernel tier is available on this CPU.
 pub fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -487,10 +269,8 @@ pub fn avx2_available() -> bool {
     }
 }
 
-/// Whether the AVX-512 kernel tier is available on this CPU. The whole
-/// tier is gated on `avx512f` **and** `avx512vpopcntdq` together — the
-/// row-matching kernels only need the former, but a single gate keeps
-/// the ladder a ladder.
+/// Whether the AVX-512 kernel tier is available on this CPU: `avx512f`
+/// **and** `avx512vpopcntdq` together.
 pub fn avx512_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -603,80 +383,6 @@ mod avx2 {
         }
         count as usize
     }
-
-    /// Whether `row` and `mask` (equal length) are word-equal, comparing
-    /// four words per `vpcmpeqq`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn row_equals(row: &[u64], mask: &[u64]) -> bool {
-        let n = row.len();
-        let mut w = 0;
-        while w + 4 <= n {
-            let vr = _mm256_loadu_si256(row.as_ptr().add(w) as *const __m256i);
-            let vm = _mm256_loadu_si256(mask.as_ptr().add(w) as *const __m256i);
-            let eq = _mm256_cmpeq_epi64(vr, vm);
-            if _mm256_movemask_epi8(eq) != -1i32 {
-                return false;
-            }
-            w += 4;
-        }
-        row[w..] == mask[w..]
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn count_equal_rows(words: &[u64], words_per_row: usize, mask: &[u64]) -> usize {
-        assert_eq!(mask.len(), words_per_row, "mask width must match rows");
-        if words_per_row == 0 {
-            return 0;
-        }
-        words
-            .chunks_exact(words_per_row)
-            .filter(|row| row_equals(row, mask))
-            .count()
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn match_rows_batch(
-        words: &[u64],
-        words_per_row: usize,
-        masks: &[Vec<u64>],
-        counts: &mut [usize],
-    ) {
-        super::check_masks(masks, words_per_row);
-        for row in words.chunks_exact(words_per_row) {
-            for (mask, count) in masks.iter().zip(counts.iter_mut()) {
-                if row_equals(row, mask) {
-                    *count += 1;
-                }
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn count_zero_rows(words: &[u64], words_per_row: usize) -> usize {
-        if words_per_row == 0 {
-            return 0;
-        }
-        let zero = _mm256_setzero_si256();
-        words
-            .chunks_exact(words_per_row)
-            .filter(|row| {
-                let n = row.len();
-                let mut w = 0;
-                // Early exit per 4-word chunk: on dense observations most
-                // rows are refuted by their first words, so a full-row OR
-                // reduction would throw that locality away.
-                while w + 4 <= n {
-                    let v = _mm256_loadu_si256(row.as_ptr().add(w) as *const __m256i);
-                    if _mm256_movemask_epi8(_mm256_cmpeq_epi64(v, zero)) != -1i32 {
-                        return false;
-                    }
-                    w += 4;
-                }
-                row[w..].iter().all(|&word| word == 0)
-            })
-            .count()
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -687,9 +393,7 @@ mod avx512 {
     //! The structure mirrors [`super::avx2`] — a vector body over the
     //! leading full words, a scalar remainder, and a masked final word —
     //! but each vector step covers **eight** `u64` words, the popcount
-    //! is a single `vpopcntdq` instead of the nibble dance, and row
-    //! comparisons produce a compare *mask* directly instead of a
-    //! byte-movemask round-trip.
+    //! is a single `vpopcntdq` instead of the nibble dance.
 
     use core::arch::x86_64::*;
 
@@ -755,78 +459,6 @@ mod avx512 {
             w += 1;
         }
         count as usize
-    }
-
-    /// Whether `row` and `mask` (equal length) are word-equal, comparing
-    /// eight words per `vpcmpeqq` mask test.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    unsafe fn row_equals(row: &[u64], mask: &[u64]) -> bool {
-        let n = row.len();
-        let mut w = 0;
-        while w + 8 <= n {
-            let vr = _mm512_loadu_si512(row.as_ptr().add(w) as *const __m512i);
-            let vm = _mm512_loadu_si512(mask.as_ptr().add(w) as *const __m512i);
-            if _mm512_cmpeq_epi64_mask(vr, vm) != 0xff {
-                return false;
-            }
-            w += 8;
-        }
-        row[w..] == mask[w..]
-    }
-
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    pub unsafe fn count_equal_rows(words: &[u64], words_per_row: usize, mask: &[u64]) -> usize {
-        assert_eq!(mask.len(), words_per_row, "mask width must match rows");
-        if words_per_row == 0 {
-            return 0;
-        }
-        words
-            .chunks_exact(words_per_row)
-            .filter(|row| row_equals(row, mask))
-            .count()
-    }
-
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    pub unsafe fn match_rows_batch(
-        words: &[u64],
-        words_per_row: usize,
-        masks: &[Vec<u64>],
-        counts: &mut [usize],
-    ) {
-        super::check_masks(masks, words_per_row);
-        for row in words.chunks_exact(words_per_row) {
-            for (mask, count) in masks.iter().zip(counts.iter_mut()) {
-                if row_equals(row, mask) {
-                    *count += 1;
-                }
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    pub unsafe fn count_zero_rows(words: &[u64], words_per_row: usize) -> usize {
-        if words_per_row == 0 {
-            return 0;
-        }
-        words
-            .chunks_exact(words_per_row)
-            .filter(|row| {
-                let n = row.len();
-                let mut w = 0;
-                // Early exit per 8-word chunk, for the same locality
-                // reason as the AVX2 tier: most rows are refuted by
-                // their first words on dense observations.
-                while w + 8 <= n {
-                    let v = _mm512_loadu_si512(row.as_ptr().add(w) as *const __m512i);
-                    if _mm512_test_epi64_mask(v, v) != 0 {
-                        return false;
-                    }
-                    w += 8;
-                }
-                row[w..].iter().all(|&word| word == 0)
-            })
-            .count()
     }
 }
 
@@ -913,61 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn row_matching_tiers_agree() {
-        for words_per_row in [1usize, 2, 3, 4, 5, 8, 24] {
-            let rows = 37;
-            let mut words = pattern(rows * words_per_row, 77);
-            // Plant exact copies of the mask and some all-zero rows.
-            let mask = pattern(words_per_row, 5);
-            for r in [3usize, 14, 30] {
-                words[r * words_per_row..(r + 1) * words_per_row].copy_from_slice(&mask);
-            }
-            for r in [7usize, 20] {
-                words[r * words_per_row..(r + 1) * words_per_row].fill(0);
-            }
-            let expected_eq = words
-                .chunks_exact(words_per_row)
-                .filter(|row| *row == mask.as_slice())
-                .count();
-            assert_eq!(
-                count_equal_rows_portable(&words, words_per_row, &mask),
-                expected_eq
-            );
-            assert_eq!(count_equal_rows(&words, words_per_row, &mask), expected_eq);
-            if let Some(simd) = count_equal_rows_avx2(&words, words_per_row, &mask) {
-                assert_eq!(simd, expected_eq);
-            }
-            if let Some(simd) = count_equal_rows_avx512(&words, words_per_row, &mask) {
-                assert_eq!(simd, expected_eq);
-            }
-            assert_eq!(count_zero_rows_portable(&words, words_per_row), 2);
-            assert_eq!(count_zero_rows(&words, words_per_row), 2);
-            if let Some(simd) = count_zero_rows_avx2(&words, words_per_row) {
-                assert_eq!(simd, 2);
-            }
-            if let Some(simd) = count_zero_rows_avx512(&words, words_per_row) {
-                assert_eq!(simd, 2);
-            }
-
-            let masks = vec![mask.clone(), vec![0u64; words_per_row]];
-            let mut counts = vec![0usize; 2];
-            match_rows_batch(&words, words_per_row, &masks, &mut counts);
-            assert_eq!(counts, vec![expected_eq, 2]);
-            let mut portable_counts = vec![0usize; 2];
-            match_rows_batch_portable(&words, words_per_row, &masks, &mut portable_counts);
-            assert_eq!(portable_counts, counts);
-            let mut avx2_counts = vec![0usize; 2];
-            if match_rows_batch_avx2(&words, words_per_row, &masks, &mut avx2_counts) {
-                assert_eq!(avx2_counts, counts);
-            }
-            let mut avx512_counts = vec![0usize; 2];
-            if match_rows_batch_avx512(&words, words_per_row, &masks, &mut avx512_counts) {
-                assert_eq!(avx512_counts, counts);
-            }
-        }
-    }
-
-    #[test]
     fn active_tier_matches_feature_detection() {
         let tier = active_tier();
         if avx512_available() {
@@ -992,22 +569,5 @@ mod tests {
         // every tier, never reach a raw load.
         let lane = [0u64];
         all_good_count(&[&lane], 8, !0);
-    }
-
-    #[test]
-    #[should_panic(expected = "width must match")]
-    fn narrow_masks_are_rejected_not_read() {
-        let words = [0u64; 8];
-        let masks = vec![vec![0u64; 1]];
-        let mut counts = [0usize];
-        match_rows_batch(&words, 4, &masks, &mut counts);
-    }
-
-    #[test]
-    fn zero_width_rows_never_match() {
-        assert_eq!(count_equal_rows(&[], 0, &[]), 0);
-        assert_eq!(count_zero_rows(&[], 0), 0);
-        let mut counts: [usize; 0] = [];
-        match_rows_batch(&[], 0, &[], &mut counts);
     }
 }

@@ -1,7 +1,7 @@
 //! Streaming (online) probability estimation with O(1) queries.
 //!
 //! [`crate::ProbabilityEstimator`] answers every query by scanning packed
-//! lanes or rows — cheap (64 snapshots per word), but still linear in the
+//! lanes — cheap (64 snapshots per word), but still linear in the
 //! experiment length, and long-running deployments re-pay that scan on
 //! every re-estimation. [`StreamingEstimator`] instead maintains
 //! *accumulators* that are updated as each snapshot arrives:
@@ -19,11 +19,11 @@
 //! so they can be registered before the first snapshot arrives. Each
 //! [`StreamingEstimator::push_snapshot`] then costs
 //! `O(paths + pairs + patterns · ⌈paths/64⌉)` — every accumulator is
-//! updated in O(1) (patterns in O(words-per-row), one packed-row compare)
-//! — and every registered query is an O(1) counter read, **no lane scan**.
-//! Registering after snapshots have already been recorded is allowed and
-//! performs a one-time catch-up scan through the SIMD kernels, so
-//! registration order never changes results.
+//! updated in O(1) (patterns by one word compare of the snapshot, packed
+//! once per push) — and every registered query is an O(1) counter read,
+//! **no lane scan**. Registering after snapshots have already been
+//! recorded is allowed and performs a one-time catch-up scan over the
+//! lanes, so registration order never changes results.
 //!
 //! The estimator also keeps the full bit-packed [`PathObservations`]
 //! store, so ad-hoc queries outside the registered set can always fall
@@ -36,7 +36,7 @@
 //! A freshly built estimator can *attach* a memory-mapped observation
 //! file ([`StreamingEstimator::attach_history`]) as an immutable **base
 //! segment**: every accumulator is seeded from the mapped lanes through
-//! the same SIMD kernels a live run would have used, so the counters —
+//! the same lane counts a batch estimator uses, so the counters —
 //! and therefore every probability — are bit-identical to an estimator
 //! that streamed those snapshots one by one. New snapshots accumulate in
 //! the owned **delta** store on top;
@@ -48,7 +48,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use netcorr_topology::path::PathId;
 
-use crate::bitset::simd;
+use crate::bitset::{words_for, WORD_BITS};
 use crate::error::MeasureError;
 use crate::estimator::ProbabilityEstimator;
 use crate::mapped::MappedObservations;
@@ -57,6 +57,16 @@ use crate::observation::PathObservations;
 /// Normalized pair key: the two path ids in increasing order.
 fn pair_key(a: PathId, b: PathId) -> (PathId, PathId) {
     (a.min(b), a.max(b))
+}
+
+/// Packs the set bit positions into a `words_for(width)`-word snapshot
+/// mask, the form exact patterns are matched in.
+fn pack_snapshot(width: usize, set_bits: impl IntoIterator<Item = usize>) -> Vec<u64> {
+    let mut mask = vec![0u64; words_for(width)];
+    for bit in set_bits {
+        mask[bit / WORD_BITS] |= 1u64 << (bit % WORD_BITS);
+    }
+    mask
 }
 
 /// Online estimator over a growing observation store: O(1) registered
@@ -81,7 +91,7 @@ pub struct StreamingEstimator {
     pair_good: Vec<u64>,
     /// Snapshots in which every path was good.
     all_good: u64,
-    /// Registered exact patterns with their packed row masks.
+    /// Registered exact patterns with their packed snapshot masks.
     pattern_index: BTreeMap<BTreeSet<PathId>, usize>,
     pattern_masks: Vec<Vec<u64>>,
     /// Per-registered-pattern exact-match counts.
@@ -112,13 +122,14 @@ impl StreamingEstimator {
     }
 
     /// Wraps an already-recorded observation store, initialising the
-    /// path-level accumulators from its lanes (one popcount per lane).
+    /// path-level accumulators from its lanes (one popcount per lane and
+    /// one all-good sweep).
     pub fn from_observations(observations: PathObservations) -> Self {
         let congested: Vec<u64> = (0..observations.num_paths())
             .map(|p| observations.lanes().count_ones(p) as u64)
             .collect();
-        let rows = observations.rows();
-        let all_good = simd::count_zero_rows(rows.words(), rows.words_per_row()) as u64;
+        let all_good = ProbabilityEstimator::from_lanes(observations.lanes().as_view())
+            .all_paths_good_count() as u64;
         StreamingEstimator {
             congested,
             all_good,
@@ -196,13 +207,19 @@ impl StreamingEstimator {
         self.observations.num_snapshots()
     }
 
+    /// Estimators over the attached base segment (if any) and the owned
+    /// delta, in stream order: a catch-up count is their sum.
+    fn segments(&self) -> impl Iterator<Item = ProbabilityEstimator<'_>> {
+        let delta = ProbabilityEstimator::from_lanes(self.observations.lanes().as_view());
+        self.base.iter().map(|base| base.view()).chain([delta])
+    }
+
     /// Attaches a mapped observation file as the immutable **base
-    /// segment** and seeds every accumulator from its lanes through the
-    /// SIMD kernels, making the estimator bit-identical to one that
-    /// streamed those snapshots live. Pairs and patterns may be
-    /// registered before or after attaching — both orders catch up
-    /// through the same kernels. Returns the number of history snapshots
-    /// absorbed.
+    /// segment** and seeds every accumulator from its lanes, making the
+    /// estimator bit-identical to one that streamed those snapshots live.
+    /// Pairs and patterns may be registered before or after attaching —
+    /// both orders catch up through the same lane counts. Returns the
+    /// number of history snapshots absorbed.
     ///
     /// Errors with [`MeasureError::History`] if a segment is already
     /// attached or snapshots have already been pushed, and with
@@ -230,8 +247,7 @@ impl StreamingEstimator {
         for (p, count) in self.congested.iter_mut().enumerate() {
             *count = view.lanes().count_ones(p) as u64;
         }
-        let all_paths: Vec<PathId> = (0..self.num_paths()).map(PathId).collect();
-        self.all_good = view.all_good_count(&all_paths)? as u64;
+        self.all_good = view.all_paths_good_count() as u64;
         for (&(a, b), count) in self.pairs.iter().zip(&mut self.pair_good) {
             *count = view.all_good_count(&[a, b])? as u64;
         }
@@ -289,7 +305,7 @@ impl StreamingEstimator {
     /// Idempotent; the pair is normalized, so `(a, b)` and `(b, a)` return
     /// the same handle. If snapshots were already recorded, the
     /// accumulator is initialised with one catch-up kernel sweep over the
-    /// two lanes.
+    /// two lanes (of the base segment and of the delta).
     pub fn register_pair(&mut self, a: PathId, b: PathId) -> Result<usize, MeasureError> {
         self.check_path(a)?;
         self.check_path(b)?;
@@ -297,21 +313,10 @@ impl StreamingEstimator {
         if let Some(&handle) = self.pair_index.get(&key) {
             return Ok(handle);
         }
-        let base_count = match &self.base {
-            Some(base) => base.view().all_good_count(&[key.0, key.1])? as u64,
-            None => 0,
-        };
-        let lanes = self.observations.lanes();
-        let delta_count = if self.observations.is_empty() {
-            0
-        } else {
-            simd::pair_good_count(
-                lanes.lane(key.0.index()),
-                lanes.lane(key.1.index()),
-                lanes.last_word_mask(),
-            ) as u64
-        };
-        let count = base_count + delta_count;
+        let count = self
+            .segments()
+            .map(|segment| segment.all_good_count(&[key.0, key.1]))
+            .sum::<Result<usize, _>>()? as u64;
         let handle = self.pair_good.len();
         self.pair_index.insert(key, handle);
         self.pairs.push(key);
@@ -338,8 +343,8 @@ impl StreamingEstimator {
 
     /// Registers an exact congestion pattern for O(1)
     /// `P(ψ(S) = ψ(A))` queries. Idempotent. If snapshots were already
-    /// recorded, the match count is initialised with one catch-up kernel
-    /// sweep over the packed rows.
+    /// recorded, the match count is initialised with one catch-up
+    /// exact-state sweep over the lanes.
     pub fn register_pattern(&mut self, pattern: &BTreeSet<PathId>) -> Result<(), MeasureError> {
         for &p in pattern {
             self.check_path(p)?;
@@ -347,24 +352,23 @@ impl StreamingEstimator {
         if self.pattern_index.contains_key(pattern) {
             return Ok(());
         }
-        let base_count = match &self.base {
-            Some(base) => base.view().pattern_count(pattern)? as u64,
-            None => 0,
-        };
-        let rows = self.observations.rows();
-        let mask = rows.pack_mask(pattern.iter().map(|p| p.index()));
-        let delta_count = simd::count_equal_rows(rows.words(), rows.words_per_row(), &mask) as u64;
-        let count = base_count + delta_count;
+        let count = self
+            .segments()
+            .map(|segment| segment.pattern_count(pattern))
+            .sum::<Result<usize, _>>()? as u64;
         self.pattern_index
             .insert(pattern.clone(), self.pattern_matches.len());
-        self.pattern_masks.push(mask);
+        self.pattern_masks.push(pack_snapshot(
+            self.num_paths(),
+            pattern.iter().map(|p| p.index()),
+        ));
         self.pattern_matches.push(count);
         Ok(())
     }
 
     /// Records one snapshot and updates every accumulator:
     /// `O(paths)` for the store and the marginals, O(1) per registered
-    /// pair, and one packed-row compare per registered pattern.
+    /// pair, and one packed-snapshot compare per registered pattern.
     pub fn push_snapshot(&mut self, congested: &[bool]) -> Result<(), MeasureError> {
         self.observations.record_snapshot(congested)?;
         let mut any = false;
@@ -377,12 +381,12 @@ impl StreamingEstimator {
             *count += (!congested[a.index()] && !congested[b.index()]) as u64;
         }
         if !self.pattern_masks.is_empty() {
-            let rows = self.observations.rows();
-            let row = rows.row_words(rows.num_rows() - 1);
+            let packed = pack_snapshot(
+                congested.len(),
+                (0..congested.len()).filter(|&p| congested[p]),
+            );
             for (mask, count) in self.pattern_masks.iter().zip(&mut self.pattern_matches) {
-                if row == mask.as_slice() {
-                    *count += 1;
-                }
+                *count += (*mask == packed) as u64;
             }
         }
         Ok(())
@@ -498,7 +502,7 @@ impl StreamingEstimator {
     }
 
     /// Empirical `P(ψ(S) = ψ(A))` for a **registered** pattern — O(1),
-    /// no row scan.
+    /// no lane scan.
     pub fn prob_exactly_congested(&self, pattern: &BTreeSet<PathId>) -> Result<f64, MeasureError> {
         let n = self.require_snapshots()?;
         let slot = self
@@ -554,7 +558,7 @@ mod tests {
         );
         assert_eq!(
             est.prob_all_paths_good().unwrap(),
-            batch.prob_all_paths_good()
+            batch.prob_all_paths_good().unwrap()
         );
         let pattern = BTreeSet::from([PathId(0), PathId(1)]);
         assert_eq!(

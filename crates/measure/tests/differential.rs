@@ -6,10 +6,10 @@
 //!   dispatcher) must agree bit-exactly with each other and with scalar
 //!   counting — the AVX-512 assertions run only where the host supports
 //!   `avx512f` + `avx512vpopcntdq` and skip cleanly elsewhere;
-//! * the zero-copy memory tier ([`ObservationsView`] borrowed from the
-//!   heap, parsed in place from a v3 block, or served from a mapped
-//!   file) must agree bit-exactly with the owning estimator on every
-//!   query family;
+//! * the zero-copy memory tier (a [`ProbabilityEstimator`] borrowing a
+//!   heap store's lanes, or served from a mapped file and its heap-read
+//!   control arm) must agree bit-exactly with the owning estimator on
+//!   every query family;
 //! * the [`StreamingEstimator`]'s accumulators must agree bit-exactly
 //!   with the batch estimator at **every prefix** of an interleaved
 //!   push/query sequence.
@@ -25,22 +25,32 @@
 //!
 //! Every implementation computes `count / num_snapshots` with integer
 //! counts, so the assertions use `==`, not an epsilon.
+//!
+//! The random matrices span four cell densities (none, ~1%, half and all
+//! congested) and up to 70 paths × 600 snapshots, so snapshots wider than
+//! one word, multi-block exact-state sweeps, their early exits, and the
+//! all-good sweep's saturation stop are all exercised.
 
 use std::collections::BTreeSet;
 
 use netcorr_measure::bitset::simd;
 use netcorr_measure::reference::{ScalarEstimator, ScalarObservations};
 use netcorr_measure::{
-    MappedObservations, ObservationsView, PathObservations, ProbabilityEstimator,
-    StreamingEstimator,
+    MappedObservations, PathObservations, ProbabilityEstimator, StreamingEstimator,
 };
 use netcorr_topology::path::PathId;
 use proptest::prelude::*;
 
 /// Upper bounds of the random matrices; snapshot counts beyond 64 exercise
-/// multi-word lanes and the tail-masking of the last word.
-const MAX_PATHS: usize = 6;
-const MAX_SNAPSHOTS: usize = 150;
+/// multi-word lanes and the tail-masking of the last word, beyond 512 more
+/// than one exact-state block, and path counts beyond 64 multi-word
+/// snapshots.
+const MAX_PATHS: usize = 70;
+const MAX_SNAPSHOTS: usize = 600;
+
+/// Congested fraction of the cells, per mille, by density choice: none,
+/// sparse, half, all.
+const DENSITIES: [u32; 4] = [0, 10, 500, 1000];
 
 /// Builds packed and scalar stores from the same random cell pool,
 /// truncated to `paths × snapshots`.
@@ -59,10 +69,16 @@ fn build_both(
     (packed, scalar)
 }
 
-/// Strategy for the flattened cell pool (consumed row by row).
-fn cell_pool() -> impl Strategy<Value = Vec<bool>> {
-    prop::collection::vec(0usize..2, MAX_PATHS * MAX_SNAPSHOTS)
-        .prop_map(|cells| cells.into_iter().map(|c| c == 1).collect())
+/// Strategy for the flattened cell pool (consumed row by row): uniform
+/// per-mille draws, turned into cells by [`cells`].
+fn cell_pool() -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(0u32..1000, MAX_PATHS * MAX_SNAPSHOTS)
+}
+
+/// The pool's cells at density choice `density` (an index into
+/// [`DENSITIES`]).
+fn cells(density: usize, pool: &[u32]) -> Vec<bool> {
+    pool.iter().map(|&draw| draw < DENSITIES[density]).collect()
 }
 
 proptest! {
@@ -72,8 +88,10 @@ proptest! {
     fn single_path_marginals_agree(
         paths in 1usize..=MAX_PATHS,
         snapshots in 1usize..=MAX_SNAPSHOTS,
-        cells in cell_pool(),
+        density in 0usize..DENSITIES.len(),
+        pool in cell_pool(),
     ) {
+        let cells = cells(density, &pool);
         let (packed, scalar) = build_both(paths, snapshots, &cells);
         let packed_est = ProbabilityEstimator::new(&packed).unwrap();
         let scalar_est = ScalarEstimator::new(&scalar).unwrap();
@@ -93,8 +111,10 @@ proptest! {
     fn joint_goodness_agrees(
         paths in 1usize..=MAX_PATHS,
         snapshots in 1usize..=MAX_SNAPSHOTS,
-        cells in cell_pool(),
+        density in 0usize..DENSITIES.len(),
+        pool in cell_pool(),
     ) {
+        let cells = cells(density, &pool);
         let (packed, scalar) = build_both(paths, snapshots, &cells);
         let packed_est = ProbabilityEstimator::new(&packed).unwrap();
         let scalar_est = ScalarEstimator::new(&scalar).unwrap();
@@ -129,21 +149,25 @@ proptest! {
     fn all_paths_good_agrees(
         paths in 1usize..=MAX_PATHS,
         snapshots in 1usize..=MAX_SNAPSHOTS,
-        cells in cell_pool(),
+        density in 0usize..DENSITIES.len(),
+        pool in cell_pool(),
     ) {
+        let cells = cells(density, &pool);
         let (packed, scalar) = build_both(paths, snapshots, &cells);
         let packed_est = ProbabilityEstimator::new(&packed).unwrap();
         let scalar_est = ScalarEstimator::new(&scalar).unwrap();
-        prop_assert_eq!(packed_est.prob_all_paths_good(), scalar_est.prob_all_paths_good());
+        prop_assert_eq!(packed_est.prob_all_paths_good().unwrap(), scalar_est.prob_all_paths_good());
     }
 
     #[test]
     fn exact_patterns_agree(
         paths in 1usize..=MAX_PATHS,
         snapshots in 1usize..=MAX_SNAPSHOTS,
-        cells in cell_pool(),
+        density in 0usize..DENSITIES.len(),
+        pool in cell_pool(),
         selector in 0u64..u64::MAX,
     ) {
+        let cells = cells(density, &pool);
         let (packed, scalar) = build_both(paths, snapshots, &cells);
         let packed_est = ProbabilityEstimator::new(&packed).unwrap();
         let scalar_est = ScalarEstimator::new(&scalar).unwrap();
@@ -172,9 +196,11 @@ proptest! {
     fn simd_portable_and_scalar_kernels_agree(
         paths in 1usize..=MAX_PATHS,
         snapshots in 1usize..=MAX_SNAPSHOTS,
-        cells in cell_pool(),
+        density in 0usize..DENSITIES.len(),
+        pool in cell_pool(),
         selector in 0u64..u64::MAX,
     ) {
+        let cells = cells(density, &pool);
         let (packed, _) = build_both(paths, snapshots, &cells);
         let lanes = packed.lanes();
         let used = lanes.used_words();
@@ -216,85 +242,24 @@ proptest! {
                 prop_assert_eq!(avx512, expected);
             }
         }
-
-        // Families 3–4: row kernels against scalar row scans.
-        let rows = packed.rows();
-        let zero_expected = (0..snapshots)
-            .filter(|&s| (0..paths).all(|p| !cell(s, p)))
-            .count();
-        prop_assert_eq!(simd::count_zero_rows(rows.words(), rows.words_per_row()), zero_expected);
-        prop_assert_eq!(
-            simd::count_zero_rows_portable(rows.words(), rows.words_per_row()),
-            zero_expected
-        );
-        if let Some(avx2) = simd::count_zero_rows_avx2(rows.words(), rows.words_per_row()) {
-            prop_assert_eq!(avx2, zero_expected);
-        }
-        if let Some(avx512) = simd::count_zero_rows_avx512(rows.words(), rows.words_per_row()) {
-            prop_assert_eq!(avx512, zero_expected);
-        }
-        let target: Vec<usize> = (0..paths).filter(|p| selector >> ((p + 7) % 64) & 1 == 1).collect();
-        let mask = rows.pack_mask(target.iter().copied());
-        let eq_expected = (0..snapshots)
-            .filter(|&s| (0..paths).all(|p| cell(s, p) == target.contains(&p)))
-            .count();
-        prop_assert_eq!(
-            simd::count_equal_rows(rows.words(), rows.words_per_row(), &mask),
-            eq_expected
-        );
-        prop_assert_eq!(
-            simd::count_equal_rows_portable(rows.words(), rows.words_per_row(), &mask),
-            eq_expected
-        );
-        if let Some(avx2) = simd::count_equal_rows_avx2(rows.words(), rows.words_per_row(), &mask) {
-            prop_assert_eq!(avx2, eq_expected);
-        }
-        if let Some(avx512) =
-            simd::count_equal_rows_avx512(rows.words(), rows.words_per_row(), &mask)
-        {
-            prop_assert_eq!(avx512, eq_expected);
-        }
-        let masks = vec![mask, vec![0u64; rows.words_per_row()]];
-        let mut counts = vec![0usize; 2];
-        simd::match_rows_batch(rows.words(), rows.words_per_row(), &masks, &mut counts);
-        prop_assert_eq!(&counts, &vec![eq_expected, zero_expected]);
-        let mut portable_counts = vec![0usize; 2];
-        simd::match_rows_batch_portable(
-            rows.words(),
-            rows.words_per_row(),
-            &masks,
-            &mut portable_counts,
-        );
-        prop_assert_eq!(&portable_counts, &counts);
-        let mut avx2_counts = vec![0usize; 2];
-        if simd::match_rows_batch_avx2(rows.words(), rows.words_per_row(), &masks, &mut avx2_counts)
-        {
-            prop_assert_eq!(&avx2_counts, &counts);
-        }
-        let mut avx512_counts = vec![0usize; 2];
-        if simd::match_rows_batch_avx512(
-            rows.words(),
-            rows.words_per_row(),
-            &masks,
-            &mut avx512_counts,
-        ) {
-            prop_assert_eq!(&avx512_counts, &counts);
-        }
     }
 
     #[test]
     fn zero_copy_views_agree_with_the_owning_estimator(
         paths in 1usize..=MAX_PATHS,
         snapshots in 1usize..=MAX_SNAPSHOTS,
-        cells in cell_pool(),
+        density in 0usize..DENSITIES.len(),
+        pool in cell_pool(),
         selector in 0u64..u64::MAX,
     ) {
+        let cells = cells(density, &pool);
         let (packed, _) = build_both(paths, snapshots, &cells);
         let owning = ProbabilityEstimator::new(&packed).unwrap();
 
         // Three routes into the zero-copy tier: a borrow of the owned
-        // store, and a memory-mapped v3 file (with its heap-read control
-        // arm) — all must answer every query family bit-identically.
+        // store's lanes, and a memory-mapped v3 file (with its heap-read
+        // control arm) — all must answer every query family
+        // bit-identically.
         let file = std::env::temp_dir().join(format!(
             "netcorr_differential_view_{}",
             std::process::id()
@@ -303,7 +268,7 @@ proptest! {
         let mapped = MappedObservations::open(&file).unwrap();
         let heap_read = MappedObservations::open_heap(&file).unwrap();
         let views = [
-            ObservationsView::from_observations(&packed),
+            ProbabilityEstimator::from_lanes(packed.lanes().as_view()),
             mapped.view(),
             heap_read.view(),
         ];
@@ -352,7 +317,7 @@ proptest! {
             );
             prop_assert_eq!(
                 view.prob_all_paths_good().unwrap(),
-                owning.prob_all_paths_good()
+                owning.prob_all_paths_good().unwrap()
             );
             for pattern in &patterns {
                 prop_assert_eq!(
@@ -365,7 +330,7 @@ proptest! {
                 owning.prob_exactly_congested_batch(&patterns).unwrap()
             );
             prop_assert_eq!(view.ever_congested_paths(), owning.ever_congested_paths());
-            prop_assert_eq!(view.to_observations().unwrap(), packed.clone());
+            prop_assert_eq!(view.to_observations(), packed.clone());
         }
         std::fs::remove_file(&file).ok();
     }
@@ -374,9 +339,11 @@ proptest! {
     fn streaming_matches_batch_under_interleaved_pushes_and_queries(
         paths in 1usize..=MAX_PATHS,
         snapshots in 1usize..=MAX_SNAPSHOTS,
-        cells in cell_pool(),
+        density in 0usize..DENSITIES.len(),
+        pool in cell_pool(),
         selector in 0u64..u64::MAX,
     ) {
+        let cells = cells(density, &pool);
         let mut streaming = StreamingEstimator::new(paths);
         // Register every pair and two patterns up front; one more pair and
         // pattern are registered mid-stream (exercising catch-up).
@@ -436,7 +403,7 @@ proptest! {
             );
             prop_assert_eq!(
                 streaming.prob_all_paths_good().unwrap(),
-                batch.prob_all_paths_good()
+                batch.prob_all_paths_good().unwrap()
             );
             prop_assert_eq!(
                 streaming.prob_exactly_congested(&pattern_a).unwrap(),
@@ -457,14 +424,16 @@ proptest! {
     fn wire_round_trip_preserves_observations(
         paths in 1usize..=MAX_PATHS,
         snapshots in 1usize..=MAX_SNAPSHOTS,
-        cells in cell_pool(),
+        density in 0usize..DENSITIES.len(),
+        pool in cell_pool(),
     ) {
+        let cells = cells(density, &pool);
         let (packed, _) = build_both(paths, snapshots, &cells);
         let back = PathObservations::from_wire(&packed.to_wire()).unwrap();
         prop_assert_eq!(&back, &packed);
         // The round-tripped store answers queries identically.
         let a = ProbabilityEstimator::new(&packed).unwrap();
         let b = ProbabilityEstimator::new(&back).unwrap();
-        prop_assert_eq!(a.prob_all_paths_good(), b.prob_all_paths_good());
+        prop_assert_eq!(a.prob_all_paths_good().unwrap(), b.prob_all_paths_good().unwrap());
     }
 }

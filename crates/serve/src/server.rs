@@ -395,10 +395,15 @@ impl<R: std::io::Read> std::io::Read for PolledReader<'_, R> {
     }
 }
 
-/// Writes one reply line (text + `\n`) and flushes.
+/// Writes one reply line (text + `\n`) as a single buffer and flushes.
+/// One `write` per reply matters on an unbuffered TCP socket: a second,
+/// one-byte write would sit behind Nagle's algorithm until the client's
+/// delayed ACK, ~40 ms per request.
 fn reply_line<W: Write>(stream: &mut W, text: &str) -> std::io::Result<()> {
-    stream.write_all(text.as_bytes())?;
-    stream.write_all(b"\n")?;
+    let mut line = Vec::with_capacity(text.len() + 1);
+    line.extend_from_slice(text.as_bytes());
+    line.push(b'\n');
+    stream.write_all(&line)?;
     stream.flush()
 }
 
@@ -541,6 +546,35 @@ mod tests {
                 .unwrap();
         }
         obs
+    }
+
+    /// Counts `write` calls, accepting every byte.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn replies_go_out_in_one_write() {
+        let mut out = CountingWriter::default();
+        reply_line(&mut out, "OK pong").unwrap();
+        assert_eq!(out.writes, 1);
+        reply_line(&mut out, "").unwrap();
+        assert_eq!(out.writes, 2);
+        assert_eq!(out.bytes, b"OK pong\n\n");
     }
 
     #[test]
