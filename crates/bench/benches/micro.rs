@@ -13,7 +13,7 @@ use netcorr_eval::scenario::CorrelationLevel;
 use netcorr_linalg::{cgls, min_l1_norm_solution, solve_least_squares, Matrix, SparseMatrix};
 use netcorr_measure::bitset::simd;
 use netcorr_measure::reference::{ScalarEstimator, ScalarObservations};
-use netcorr_measure::{PathObservations, ProbabilityEstimator, StreamingEstimator};
+use netcorr_measure::{PathCounts, PathObservations, ProbabilityEstimator, StreamingEstimator};
 use netcorr_sim::{SimulationConfig, Simulator, TransmissionModel};
 use netcorr_topology::generators::{brite, planetlab};
 use netcorr_topology::path::PathId;
@@ -176,7 +176,7 @@ fn estimator_queries(c: &mut Criterion) {
     // snapshot stream pushed: registered-pair queries are O(1) counter
     // reads, so this measures the constant-time query floor.
     let mut streaming = StreamingEstimator::with_capacity(PATHS, SNAPSHOTS);
-    let handles = streaming.register_pairs(&pairs).expect("valid pairs");
+    streaming.register_pairs(&pairs).expect("valid pairs");
     for snapshot in packed.snapshots() {
         streaming.push_snapshot(&snapshot).expect("width matches");
     }
@@ -214,7 +214,7 @@ fn estimator_queries(c: &mut Criterion) {
         |b| {
             b.iter(|| {
                 streaming
-                    .log_prob_pairs_good_at(&handles)
+                    .log_prob_pairs_good(&pairs)
                     .expect("registered pairs")
             })
         },

@@ -61,7 +61,7 @@ use netcorr_eval::robustness::RobustnessConfig;
 use netcorr_eval::scenario::CorrelationLevel;
 use netcorr_measure::bitset::simd;
 use netcorr_measure::reference::{ScalarEstimator, ScalarObservations};
-use netcorr_measure::{PathObservations, ProbabilityEstimator, StreamingEstimator};
+use netcorr_measure::{PathCounts, PathObservations, ProbabilityEstimator, StreamingEstimator};
 use netcorr_topology::path::PathId;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -134,7 +134,7 @@ fn main() {
         }
     }
     let mut streaming = StreamingEstimator::with_capacity(PATHS, SNAPSHOTS);
-    let handles = streaming.register_pairs(&pairs).expect("valid pairs");
+    streaming.register_pairs(&pairs).expect("valid pairs");
     for snapshot in packed.snapshots() {
         streaming.push_snapshot(&snapshot).expect("width matches");
     }
@@ -149,7 +149,7 @@ fn main() {
     });
     let streaming_mean = time_mean(3, 20, || {
         let sum: f64 = streaming
-            .log_prob_pairs_good_at(&handles)
+            .log_prob_pairs_good(&pairs)
             .expect("registered pairs")
             .iter()
             .sum();

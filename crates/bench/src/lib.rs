@@ -10,8 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use netcorr_core::{
-    AlgorithmConfig, CorrelationAlgorithm, IncrementalEquationBuilder, IndependenceAlgorithm,
-    InferenceContext,
+    AlgorithmConfig, CorrelationAlgorithm, IndependenceAlgorithm, InferenceContext,
 };
 use netcorr_eval::figures::{base_instance, Scale, TopologyFamily};
 use netcorr_eval::scenario::{
@@ -104,8 +103,8 @@ pub const SERVE_CGLS_TOLERANCE: f64 = 1e-5;
 
 /// The live-stream re-inference workload shared by `benches/serve.rs`
 /// and the `bench_gate` binary: a **sparse-plan** inference context at
-/// the online tolerance, plus the sequence of right-hand sides an
-/// [`IncrementalEquationBuilder`] produces in the daemon's steady state —
+/// the online tolerance, plus the sequence of right-hand sides the context
+/// reads from a streaming estimator in the daemon's steady state —
 /// one after [`SERVE_HEAD_SNAPSHOTS`] warm-up snapshots, then one per
 /// additional snapshot up to the fixture's [`BENCH_SNAPSHOTS`] (the
 /// "re-infer continuously as snapshots arrive" regime).
@@ -123,8 +122,9 @@ pub fn serve_reinfer_workload(fx: &Fixture) -> (InferenceContext, Vec<Vec<f64>>)
     config.solver.cgls_tolerance = SERVE_CGLS_TOLERANCE;
     let context = InferenceContext::new(instance, &config).expect("context builds");
     let mut streaming = StreamingEstimator::new(instance.num_paths());
-    let builder = IncrementalEquationBuilder::new(instance, &mut streaming, &config.equations)
-        .expect("builder builds");
+    streaming
+        .register_pairs(context.structure().pairs())
+        .expect("pairs register");
     let total = fx.observations.num_snapshots();
     let head = SERVE_HEAD_SNAPSHOTS.min(total);
     for i in 0..head {
@@ -132,12 +132,12 @@ pub fn serve_reinfer_workload(fx: &Fixture) -> (InferenceContext, Vec<Vec<f64>>)
             .push_snapshot(&fx.observations.snapshot(i))
             .expect("width matches");
     }
-    let mut rhs_sequence = vec![builder.rhs(&streaming).expect("snapshots pushed")];
+    let mut rhs_sequence = vec![context.rhs(&streaming).expect("snapshots pushed")];
     for i in head..total {
         streaming
             .push_snapshot(&fx.observations.snapshot(i))
             .expect("width matches");
-        rhs_sequence.push(builder.rhs(&streaming).expect("snapshots pushed"));
+        rhs_sequence.push(context.rhs(&streaming).expect("snapshots pushed"));
     }
     (context, rhs_sequence)
 }

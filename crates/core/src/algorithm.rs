@@ -2,10 +2,11 @@
 //! algorithm (Section 4) and the independence baseline it is compared
 //! against (Nguyen–Thiran \[12\]).
 //!
-//! Both algorithms share the same pipeline — build log-linear measurement
-//! equations, solve them, convert the solved log-good-probabilities into
-//! per-link congestion probabilities. The only difference is whether the
-//! equation builder respects the correlation partition:
+//! Both algorithms are one-shot uses of the same pipeline, an
+//! [`InferenceContext`]: build log-linear measurement equations, solve
+//! them, convert the solved log-good-probabilities into per-link
+//! congestion probabilities. The only difference is whether the equation
+//! builder respects the correlation partition:
 //!
 //! * [`CorrelationAlgorithm`] uses only paths and path pairs whose links
 //!   are mutually uncorrelated, so every equation it forms is valid even
@@ -17,13 +18,14 @@
 
 use serde::{Deserialize, Serialize};
 
-use netcorr_measure::{PathObservations, ProbabilityEstimator};
+use netcorr_measure::PathObservations;
 use netcorr_topology::TopologyInstance;
 
-use crate::equations::{build_equations, EquationConfig};
+use crate::context::InferenceContext;
+use crate::equations::EquationConfig;
 use crate::error::CoreError;
-use crate::result::{Diagnostics, TomographyEstimate};
-use crate::solver::{solve_equations, SolverConfig};
+use crate::result::TomographyEstimate;
+use crate::solver::SolverConfig;
 
 /// Configuration shared by the practical algorithms.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -32,39 +34,6 @@ pub struct AlgorithmConfig {
     pub equations: EquationConfig,
     /// Numerical solver options.
     pub solver: SolverConfig,
-}
-
-/// Shared pipeline: equations → solve → estimate.
-fn infer_log_linear(
-    instance: &TopologyInstance,
-    observations: &PathObservations,
-    config: &AlgorithmConfig,
-) -> Result<TomographyEstimate, CoreError> {
-    instance.validate()?;
-    if observations.num_paths() != instance.num_paths() {
-        return Err(CoreError::InvalidConfig(format!(
-            "observations cover {} paths, instance has {}",
-            observations.num_paths(),
-            instance.num_paths()
-        )));
-    }
-    let estimator = ProbabilityEstimator::new(observations)?;
-    let system = build_equations(instance, &estimator, &config.equations)?;
-    let outcome = solve_equations(&system, instance.num_links(), &config.solver)?;
-    let diagnostics = Diagnostics {
-        num_links: instance.num_links(),
-        num_single_path_equations: outcome.used_single,
-        num_pair_equations: outcome.used_pair,
-        underdetermined: outcome.underdetermined,
-        solver: outcome.kind,
-        residual: outcome.residual,
-        uncovered_links: system.num_uncovered_links(),
-        iterations: outcome.iterations,
-    };
-    Ok(TomographyEstimate::from_log_good_probabilities(
-        &outcome.x,
-        diagnostics,
-    ))
 }
 
 /// The paper's practical algorithm (Section 4): infers per-link congestion
@@ -99,11 +68,10 @@ impl<'a> CorrelationAlgorithm<'a> {
     }
 
     /// Infers the congestion probability of every link from the recorded
-    /// observations.
+    /// observations, through a context built for this one call
+    /// ([`InferenceContext::for_correlation`]).
     pub fn infer(&self, observations: &PathObservations) -> Result<TomographyEstimate, CoreError> {
-        let mut config = self.config;
-        config.equations.respect_correlation = true;
-        infer_log_linear(self.instance, observations, &config)
+        InferenceContext::for_correlation(self.instance, self.config)?.infer(observations)
     }
 }
 
@@ -138,11 +106,10 @@ impl<'a> IndependenceAlgorithm<'a> {
     }
 
     /// Infers the congestion probability of every link, assuming all links
-    /// are independent.
+    /// are independent, through a context built for this one call
+    /// ([`InferenceContext::for_independence`]).
     pub fn infer(&self, observations: &PathObservations) -> Result<TomographyEstimate, CoreError> {
-        let mut config = self.config;
-        config.equations.respect_correlation = false;
-        infer_log_linear(self.instance, observations, &config)
+        InferenceContext::for_independence(self.instance, self.config)?.infer(observations)
     }
 }
 

@@ -1,29 +1,29 @@
 //! Batched, factorization-reusing inference over a shared topology.
 //!
-//! [`crate::CorrelationAlgorithm::infer`] re-derives everything from
-//! scratch on every call: the equation structure (a pure function of the
-//! topology instance and the equation config), the independence selection
-//! (a pure function of the structure's rows) and — on the dense path —
-//! the QR factorization of the selected-equation matrix (a pure function
-//! of the selected rows). Across a multi-trial experiment all of that
-//! work is identical from trial to trial; only the right-hand side (the
-//! measured log-probabilities) changes.
+//! [`InferenceContext`] is the one log-linear inference pipeline: the
+//! one-shot [`crate::CorrelationAlgorithm::infer`] /
+//! [`crate::IndependenceAlgorithm::infer`] build a context and use it
+//! once, the experiment harness shares contexts across trials, and the
+//! daemon refreshes one from a streaming estimator.
 //!
-//! [`InferenceContext`] hoists the observation-independent work out of
-//! the per-trial loop:
+//! A context hoists the observation-independent work out of the
+//! per-trial loop:
 //!
 //! * the [`EquationStructure`] is built once;
-//! * the linearly-independent row subset is selected once;
-//! * dense determined systems keep the QR factorization, so each trial is
+//! * the linearly-independent row subset is selected once, and with it
+//!   the solve plan is prepared (a `PreparedSolve` in [`crate::solver`]):
+//!   dense determined systems keep the QR factorization, so each trial is
 //!   one `Qᵀb` sweep plus one back-substitution, and whole batches go
-//!   through the RHS-batched [`QrDecomposition::solve_many`];
+//!   through the RHS-batched [`netcorr_linalg::QrDecomposition::solve_many`];
 //! * sparse systems keep the blocked CSR matrix, and batches warm-start
 //!   CGLS from the previous right-hand side's solution in fixed-length
 //!   chains ([`WARM_CHAIN`]) so the batched result does not depend on how
 //!   a batch is later split across threads.
 //!
-//! Everything the context computes is **bit-identical** to the one-shot
-//! algorithms: same structure, same selection, same arithmetic order.
+//! A trial's right-hand side is read through [`PathCounts`], so the batch
+//! estimator of an offline trial and the streaming estimator of the daemon
+//! feed the same [`InferenceContext::rhs`].
+//!
 //! [`ContextCache`] shares contexts across threads, keyed by the exact
 //! structural identity of the instance + configuration (never by a digest
 //! alone, so a hash collision cannot silently reuse the wrong
@@ -32,15 +32,14 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use netcorr_linalg::{norms, BlockedSparseMatrix, Matrix, QrDecomposition};
-use netcorr_measure::{PathObservations, ProbabilityEstimator};
+use netcorr_measure::{PathCounts, PathObservations, ProbabilityEstimator};
 use netcorr_topology::TopologyInstance;
 
 use crate::algorithm::AlgorithmConfig;
-use crate::equations::{equation_structure, EquationSource, EquationStructure};
+use crate::equations::{equation_structure, EquationStructure};
 use crate::error::CoreError;
 use crate::result::{Diagnostics, SolverKind, TomographyEstimate};
-use crate::solver::{self, SolveOutcome};
+use crate::solver::{PreparedSolve, SolveOutcome};
 
 /// Length of a warm-start chain in [`InferenceContext::solve_batch`]:
 /// within each consecutive chunk of this many right-hand sides, the first
@@ -51,41 +50,20 @@ use crate::solver::{self, SolveOutcome};
 /// boundaries.
 pub const WARM_CHAIN: usize = 8;
 
-/// The prepared solve strategy for one structure (observation-free).
-enum SolvePlan {
-    /// No unknowns: every solve is the empty solution.
-    Empty,
-    /// Dense determined: the cached QR factorization of the selected
-    /// square system. Per trial: apply `Qᵀ`, back-substitute.
-    DenseFactored { qr: QrDecomposition },
-    /// Dense under-determined: the gathered selected-equation matrix for
-    /// the per-RHS minimum-L1-norm LP (no factorization to reuse).
-    DenseL1 { a: Matrix },
-    /// Sparse: the blocked CSR form of the selected equations, reused by
-    /// every CGLS solve.
-    Sparse { matrix: BlockedSparseMatrix },
-}
-
 /// Shared, observation-independent inference state for one topology
 /// instance and algorithm configuration.
 ///
 /// Construction performs all the per-topology work (structure, selection,
 /// factorization); [`InferenceContext::infer`] then costs only the RHS
 /// estimation plus a back-substitution (dense) or CGLS run (sparse) per
-/// trial, and is bit-identical to
-/// [`crate::CorrelationAlgorithm::infer`] /
-/// [`crate::IndependenceAlgorithm::infer`] with the same configuration.
+/// trial.
 pub struct InferenceContext {
     num_links: usize,
     num_paths: usize,
     config: AlgorithmConfig,
     structure: EquationStructure,
-    selected: Vec<usize>,
-    used_single: usize,
-    used_pair: usize,
-    underdetermined: bool,
     uncovered_links: usize,
-    plan: SolvePlan,
+    prepared: PreparedSolve,
 }
 
 impl InferenceContext {
@@ -98,45 +76,19 @@ impl InferenceContext {
         instance.validate()?;
         let num_links = instance.num_links();
         let structure = equation_structure(instance, &config.equations)?;
-        let selected = solver::select_rows(
+        let prepared = PreparedSolve::new(
             structure.matrix(),
+            structure.sources(),
             num_links,
-            config.solver.independence_tolerance,
-        );
-        let used_single = selected
-            .iter()
-            .filter(|&&i| matches!(structure.sources()[i], EquationSource::SinglePath(_)))
-            .count();
-        let used_pair = selected.len() - used_single;
-        let underdetermined = selected.len() < num_links;
-        let plan = if num_links == 0 {
-            SolvePlan::Empty
-        } else if num_links <= config.solver.dense_threshold {
-            let a = solver::gather_dense(structure.matrix(), &selected, num_links);
-            if underdetermined {
-                SolvePlan::DenseL1 { a }
-            } else {
-                SolvePlan::DenseFactored {
-                    qr: QrDecomposition::new(&a).map_err(CoreError::Numerical)?,
-                }
-            }
-        } else {
-            let gathered = solver::gather_sparse(structure.matrix(), &selected, num_links)?;
-            SolvePlan::Sparse {
-                matrix: gathered.to_blocked(),
-            }
-        };
+            &config.solver,
+        )?;
         Ok(InferenceContext {
             num_links,
             num_paths: instance.num_paths(),
             config: *config,
             uncovered_links: structure.num_uncovered_links(),
             structure,
-            selected,
-            used_single,
-            used_pair,
-            underdetermined,
-            plan,
+            prepared,
         })
     }
 
@@ -178,29 +130,25 @@ impl InferenceContext {
 
     /// Whether fewer independent equations than unknowns were available.
     pub fn underdetermined(&self) -> bool {
-        self.underdetermined
+        self.prepared.underdetermined()
     }
 
     /// Which numerical path solves this structure's systems.
     pub fn solver_kind(&self) -> SolverKind {
-        match self.plan {
-            SolvePlan::Empty | SolvePlan::DenseFactored { .. } => SolverKind::DenseExact,
-            SolvePlan::DenseL1 { .. } => SolverKind::DenseL1,
-            SolvePlan::Sparse { .. } => SolverKind::SparseIterative,
-        }
+        self.prepared.kind()
     }
 
-    /// The right-hand side of one trial's observations: one clamped
-    /// empirical log-probability per structure row, in row order (singles
-    /// one by one, pairs in one popcount batch) — exactly the RHS
-    /// [`crate::equations::build_equations`] produces.
-    pub fn rhs(&self, estimator: &ProbabilityEstimator<'_>) -> Result<Vec<f64>, CoreError> {
-        let mut rhs = Vec::with_capacity(self.structure.num_equations());
-        for &path in self.structure.single_paths() {
-            rhs.push(estimator.log_prob_paths_good(&[path])?);
-        }
-        rhs.extend(estimator.log_prob_pairs_good(self.structure.pairs())?);
-        Ok(rhs)
+    /// The right-hand side over `counts`: one clamped empirical
+    /// log-probability per structure row, in row order (see
+    /// [`EquationStructure::rhs`]). `counts` may be a batch estimator over
+    /// one trial's observations or a streaming estimator whose
+    /// accumulators hold the structure's [`EquationStructure::pairs`]
+    /// (see [`netcorr_measure::StreamingEstimator::register_pairs`]). Fails with
+    /// [`CoreError::InvalidConfig`] if `counts` covers a different number
+    /// of paths than the instance.
+    pub fn rhs<C: PathCounts + ?Sized>(&self, counts: &C) -> Result<Vec<f64>, CoreError> {
+        self.check_width(counts.num_paths())?;
+        self.structure.rhs(counts)
     }
 
     /// Solves one right-hand side (one entry per structure row) with the
@@ -219,100 +167,25 @@ impl InferenceContext {
         rhs: &[f64],
         initial: Option<&[f64]>,
     ) -> Result<SolveOutcome, CoreError> {
-        if rhs.len() != self.structure.num_equations() {
-            return Err(CoreError::InvalidConfig(format!(
-                "right-hand side has {} entries, structure has {} equations",
-                rhs.len(),
-                self.structure.num_equations()
-            )));
-        }
-        let b = solver::gather_rhs(rhs, &self.selected);
-        let outcome = match &self.plan {
-            SolvePlan::Empty => SolveOutcome {
-                x: Vec::new(),
-                kind: SolverKind::DenseExact,
-                residual: 0.0,
-                used_single: 0,
-                used_pair: 0,
-                underdetermined: false,
-                iterations: 0,
-            },
-            SolvePlan::DenseFactored { qr } => solver::solve_dense_determined(qr, &b)?,
-            SolvePlan::DenseL1 { a } => solver::solve_dense_l1(a, &b)?,
-            SolvePlan::Sparse { matrix } => solver::solve_sparse_prepared(
-                matrix,
-                &b,
-                self.underdetermined,
-                &self.config.solver,
-                initial,
-            )?,
-        };
-        self.finish(outcome, rhs)
+        self.prepared.solve(self.structure.matrix(), rhs, initial)
     }
 
     /// Solves a batch of right-hand sides over the shared structure.
     ///
     /// Dense determined plans go through the RHS-batched
-    /// [`QrDecomposition::solve_many`] (bit-identical to calling
-    /// [`InferenceContext::solve`] per RHS); sparse plans warm-start each
-    /// solve from the previous solution within fixed [`WARM_CHAIN`]
-    /// chunks (numerically equal to cold solves within the CGLS
-    /// tolerance, and deterministic for a given batch order).
+    /// [`netcorr_linalg::QrDecomposition::solve_many`] (bit-identical to
+    /// calling [`InferenceContext::solve`] per RHS); sparse plans
+    /// warm-start each solve from the previous solution within fixed
+    /// [`WARM_CHAIN`] chunks (numerically equal to cold solves within the
+    /// CGLS tolerance, and deterministic for a given batch order).
     pub fn solve_batch(&self, rhs_batch: &[Vec<f64>]) -> Result<Vec<SolveOutcome>, CoreError> {
-        match &self.plan {
-            SolvePlan::DenseFactored { qr } => {
-                let mut bs = Vec::with_capacity(rhs_batch.len());
-                for rhs in rhs_batch {
-                    if rhs.len() != self.structure.num_equations() {
-                        return Err(CoreError::InvalidConfig(format!(
-                            "right-hand side has {} entries, structure has {} equations",
-                            rhs.len(),
-                            self.structure.num_equations()
-                        )));
-                    }
-                    bs.push(solver::gather_rhs(rhs, &self.selected));
-                }
-                let solutions = qr.solve_many(&bs).map_err(CoreError::Numerical)?;
-                solutions
-                    .into_iter()
-                    .zip(rhs_batch)
-                    .map(|(x, rhs)| {
-                        self.finish(
-                            SolveOutcome {
-                                x,
-                                kind: SolverKind::DenseExact,
-                                residual: 0.0,
-                                used_single: 0,
-                                used_pair: 0,
-                                underdetermined: false,
-                                iterations: 0,
-                            },
-                            rhs,
-                        )
-                    })
-                    .collect()
-            }
-            SolvePlan::Sparse { .. } => {
-                let mut outcomes = Vec::with_capacity(rhs_batch.len());
-                for chunk in rhs_batch.chunks(WARM_CHAIN) {
-                    let mut warm: Option<Vec<f64>> = None;
-                    for rhs in chunk {
-                        let outcome = self.solve_with_warm_start(rhs, warm.as_deref())?;
-                        warm = Some(outcome.x.clone());
-                        outcomes.push(outcome);
-                    }
-                }
-                Ok(outcomes)
-            }
-            _ => rhs_batch.iter().map(|rhs| self.solve(rhs)).collect(),
-        }
+        self.prepared
+            .solve_batch(self.structure.matrix(), rhs_batch, WARM_CHAIN)
     }
 
     /// Infers the per-link congestion probabilities for one trial's
-    /// observations. Bit-identical to the one-shot
-    /// [`crate::CorrelationAlgorithm::infer`] /
-    /// [`crate::IndependenceAlgorithm::infer`] with the same
-    /// configuration.
+    /// observations: the batch estimator's right-hand side, solved with
+    /// the prepared plan.
     pub fn infer(&self, observations: &PathObservations) -> Result<TomographyEstimate, CoreError> {
         let estimator = self.estimator(observations)?;
         let rhs = self.rhs(&estimator)?;
@@ -321,10 +194,10 @@ impl InferenceContext {
     }
 
     /// The online (daemon) re-infer entry point: solves an already-built
-    /// right-hand side — typically refreshed in `O(#equations)` by an
-    /// [`crate::IncrementalEquationBuilder`] over a streaming estimator —
-    /// and returns the estimate **plus the solved log-good-probabilities**,
-    /// so the caller can seed the next refresh's warm start with them.
+    /// right-hand side — typically [`InferenceContext::rhs`] over a
+    /// streaming estimator, refreshed in `O(#equations)` — and returns
+    /// the estimate **plus the solved log-good-probabilities**, so the
+    /// caller can seed the next refresh's warm start with them.
     ///
     /// On the dense plans `warm` is ignored and the result is bit-identical
     /// to [`InferenceContext::infer`] on the same observations; on the
@@ -359,40 +232,22 @@ impl InferenceContext {
             .collect())
     }
 
+    fn check_width(&self, num_paths: usize) -> Result<(), CoreError> {
+        if num_paths != self.num_paths {
+            return Err(CoreError::InvalidConfig(format!(
+                "observations cover {num_paths} paths, instance has {}",
+                self.num_paths
+            )));
+        }
+        Ok(())
+    }
+
     fn estimator<'o>(
         &self,
         observations: &'o PathObservations,
     ) -> Result<ProbabilityEstimator<'o>, CoreError> {
-        if observations.num_paths() != self.num_paths {
-            return Err(CoreError::InvalidConfig(format!(
-                "observations cover {} paths, instance has {}",
-                observations.num_paths(),
-                self.num_paths
-            )));
-        }
+        self.check_width(observations.num_paths())?;
         Ok(ProbabilityEstimator::new(observations)?)
-    }
-
-    /// Clamp + full-system residual + bookkeeping, exactly as
-    /// [`crate::solver::solve_equations`] finishes an outcome.
-    fn finish(&self, mut outcome: SolveOutcome, rhs: &[f64]) -> Result<SolveOutcome, CoreError> {
-        outcome.used_single = self.used_single;
-        outcome.used_pair = self.used_pair;
-        outcome.underdetermined = self.underdetermined;
-        if self.config.solver.clamp_nonpositive {
-            for x in &mut outcome.x {
-                if *x > 0.0 {
-                    *x = 0.0;
-                }
-            }
-        }
-        let ax = self
-            .structure
-            .matrix()
-            .matvec(&outcome.x)
-            .map_err(CoreError::Numerical)?;
-        outcome.residual = norms::l2_norm(&norms::sub(&ax, rhs));
-        Ok(outcome)
     }
 
     fn estimate(&self, outcome: SolveOutcome) -> TomographyEstimate {
@@ -527,6 +382,8 @@ impl ContextCache {
 mod tests {
     use super::*;
     use crate::algorithm::{CorrelationAlgorithm, IndependenceAlgorithm};
+    use netcorr_linalg::norms;
+    use netcorr_measure::{MeasureError, StreamingEstimator};
     use netcorr_sim::{CongestionModelBuilder, SimulationConfig, Simulator, TransmissionModel};
     use netcorr_topology::graph::LinkId;
     use netcorr_topology::toy;
@@ -674,6 +531,32 @@ mod tests {
     }
 
     #[test]
+    fn rhs_reads_batch_and_streaming_counts_identically() {
+        let inst = fig1a_instance();
+        let obs = simulate(&inst, 1_500, 31);
+        let ctx = InferenceContext::for_independence(&inst, AlgorithmConfig::default()).unwrap();
+        let mut streaming = StreamingEstimator::new(inst.num_paths());
+        // Unregistered pairs cannot be read from the accumulators.
+        streaming.push_snapshot(&obs.snapshot(0)).unwrap();
+        assert!(matches!(
+            ctx.rhs(&streaming),
+            Err(CoreError::Measurement(MeasureError::Unregistered(_)))
+        ));
+        // Registered after the first snapshot: caught up, then streamed.
+        streaming.register_pairs(ctx.structure().pairs()).unwrap();
+        for snapshot in obs.snapshots().skip(1) {
+            streaming.push_snapshot(&snapshot).unwrap();
+        }
+        let batch = ProbabilityEstimator::new(&obs).unwrap();
+        assert_eq!(ctx.rhs(&streaming).unwrap(), ctx.rhs(&batch).unwrap());
+        let (online, _) = ctx.reinfer(&ctx.rhs(&streaming).unwrap(), None).unwrap();
+        assert_eq!(
+            online.probabilities(),
+            ctx.infer(&obs).unwrap().probabilities()
+        );
+    }
+
+    #[test]
     fn context_cache_shares_contexts_per_exact_identity() {
         let inst = fig1a_instance();
         let config = AlgorithmConfig::default();
@@ -703,6 +586,17 @@ mod tests {
         let wrong = PathObservations::new(5);
         assert!(matches!(
             ctx.infer(&wrong),
+            Err(CoreError::InvalidConfig(_))
+        ));
+        // A right-hand side read from counts over the wrong paths.
+        let mut five = PathObservations::new(5);
+        five.record_snapshot(&[false; 5]).unwrap();
+        assert!(matches!(
+            ctx.rhs(&ProbabilityEstimator::new(&five).unwrap()),
+            Err(CoreError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            ctx.rhs(&StreamingEstimator::new(2)),
             Err(CoreError::InvalidConfig(_))
         ));
         let short_rhs = vec![0.0; ctx.structure().num_equations() + 1];

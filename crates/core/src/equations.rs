@@ -29,7 +29,7 @@
 use serde::{Deserialize, Serialize};
 
 use netcorr_linalg::SparseMatrix;
-use netcorr_measure::{ProbabilityEstimator, StreamingEstimator};
+use netcorr_measure::{PathCounts, StreamingEstimator};
 use netcorr_topology::graph::LinkId;
 use netcorr_topology::path::PathId;
 use netcorr_topology::TopologyInstance;
@@ -111,9 +111,11 @@ impl EquationSystem {
 /// whose empirical probabilities form the right-hand side.
 ///
 /// The structure is a pure function of the topology instance and the
-/// [`EquationConfig`] — it never looks at observations — so it can be
-/// built **once** and re-used to refresh the RHS as measurements stream
-/// in (see [`IncrementalEquationBuilder`]).
+/// [`EquationConfig`] — it never looks at observations — so it is built
+/// **once** (an [`crate::InferenceContext`] holds one) and
+/// [`EquationStructure::rhs`] assembles the right-hand side from any
+/// [`PathCounts`]: a batch estimator per offline trial, or a streaming
+/// estimator refreshed as measurements arrive.
 #[derive(Debug, Clone)]
 pub struct EquationStructure {
     matrix: SparseMatrix,
@@ -156,6 +158,39 @@ impl EquationStructure {
     /// Number of links that appear in no equation.
     pub fn num_uncovered_links(&self) -> usize {
         self.covered.iter().filter(|&&c| !c).count()
+    }
+
+    /// The right-hand side over `counts`, one entry per row in row order:
+    /// the clamped `log P(Y_i = 0)` of every usable single path, then the
+    /// clamped `log P(Y_i = 0, Y_j = 0)` of every accepted pair in one
+    /// batch. This is the only place right-hand sides are assembled; a
+    /// batch and a streaming estimator over the same snapshots produce
+    /// the same bits. Fails with [`CoreError::Measurement`] if `counts`
+    /// holds no snapshots (the RHS would be log 0 everywhere) or, for a
+    /// streaming estimator, if the pairs were never registered.
+    pub fn rhs<C: PathCounts + ?Sized>(&self, counts: &C) -> Result<Vec<f64>, CoreError> {
+        let mut rhs = Vec::with_capacity(self.num_equations());
+        for &path in &self.single_paths {
+            rhs.push(counts.log_prob_path_good(path)?);
+        }
+        rhs.extend(counts.log_prob_pairs_good(&self.pairs)?);
+        Ok(rhs)
+    }
+
+    /// Assembles a self-contained [`EquationSystem`] from this structure
+    /// and a fully-populated right-hand side (one entry per row).
+    fn into_system(self, rhs: Vec<f64>) -> EquationSystem {
+        debug_assert_eq!(rhs.len(), self.sources.len());
+        let num_single = self.single_paths.len();
+        let num_pair = self.pairs.len();
+        EquationSystem {
+            matrix: self.matrix,
+            rhs,
+            sources: self.sources,
+            num_single,
+            num_pair,
+            covered: self.covered,
+        }
     }
 }
 
@@ -289,82 +324,46 @@ pub fn equation_structure(
     })
 }
 
-/// Builds the measurement equations for an instance from recorded
-/// observations: the observation-independent [`equation_structure`] plus
-/// a right-hand side fetched through the batch estimator (singles one by
-/// one, pairs in a single AND/popcount batch).
-pub fn build_equations(
+/// Builds the measurement equations for an instance: the
+/// observation-independent [`equation_structure`] plus its
+/// [`EquationStructure::rhs`] over `counts`.
+pub fn build_equations<C: PathCounts + ?Sized>(
     instance: &TopologyInstance,
-    estimator: &ProbabilityEstimator<'_>,
+    counts: &C,
     config: &EquationConfig,
 ) -> Result<EquationSystem, CoreError> {
     let structure = equation_structure(instance, config)?;
-    let mut rhs = Vec::with_capacity(structure.num_equations());
-    for &path in &structure.single_paths {
-        rhs.push(estimator.log_prob_paths_good(&[path])?);
-    }
-    rhs.extend(estimator.log_prob_pairs_good(&structure.pairs)?);
+    let rhs = structure.rhs(counts)?;
     Ok(structure.into_system(rhs))
 }
 
-impl EquationStructure {
-    /// Assembles an [`EquationSystem`] from this structure and a
-    /// fully-populated right-hand side (one entry per row).
-    fn into_system(self, rhs: Vec<f64>) -> EquationSystem {
-        debug_assert_eq!(rhs.len(), self.sources.len());
-        let num_single = self.single_paths.len();
-        let num_pair = self.pairs.len();
-        EquationSystem {
-            matrix: self.matrix,
-            rhs,
-            sources: self.sources,
-            num_single,
-            num_pair,
-            covered: self.covered,
-        }
-    }
-}
-
-/// Incremental equation building over a [`StreamingEstimator`].
+/// An [`EquationStructure`] whose pairs are registered with one
+/// [`StreamingEstimator`], so its right-hand side refreshes in
+/// `O(#equations)` at any point of the measurement stream — each entry an
+/// O(1) accumulator read, with **no re-scan of the recorded lanes**.
 ///
-/// The builder computes the equation structure once (topology work only),
-/// registers every accepted pair with the streaming estimator, and can
-/// then refresh the right-hand side at any point of the measurement
-/// stream in `O(num_equations)` — each RHS entry is an O(1) accumulator
-/// read, with **no re-scan of the recorded lanes**
-/// ([`IncrementalEquationBuilder::rhs`]; the convenience
-/// [`IncrementalEquationBuilder::system`] additionally clones the
-/// structure to return an owned system). This is the
-/// long-running-deployment mode: push a snapshot, re-solve when desired,
-/// never re-query history.
+/// This is the stand-alone form of what the daemon does with its
+/// [`crate::InferenceContext`]: register the structure's
+/// [`EquationStructure::pairs`] once and call
+/// [`crate::InferenceContext::rhs`] per refresh.
 #[derive(Debug, Clone)]
 pub struct IncrementalEquationBuilder {
     structure: EquationStructure,
-    /// Accumulator handles of the accepted pairs, resolved once at
-    /// registration — the RHS refresh reads them as plain array indices.
-    pair_handles: Vec<usize>,
 }
 
 impl IncrementalEquationBuilder {
     /// Builds the equation structure for `instance` and registers every
     /// accepted path pair with `estimator` (idempotent; pairs registered
     /// after snapshots were already pushed are caught up with one kernel
-    /// sweep each). The returned builder holds the resolved pair handles,
-    /// so [`IncrementalEquationBuilder::system`] must be called with the
-    /// **same** estimator.
+    /// sweep each).
     pub fn new(
         instance: &TopologyInstance,
         estimator: &mut StreamingEstimator,
         config: &EquationConfig,
     ) -> Result<Self, CoreError> {
         let structure = equation_structure(instance, config)?;
-        let pair_handles = estimator
-            .register_pairs(&structure.pairs)
-            .map_err(CoreError::Measurement)?;
-        Ok(IncrementalEquationBuilder {
-            structure,
-            pair_handles,
-        })
+        estimator.register_pairs(structure.pairs())?;
+        Ok(IncrementalEquationBuilder { structure })
     }
 
     /// The observation-independent structure.
@@ -372,36 +371,17 @@ impl IncrementalEquationBuilder {
         &self.structure
     }
 
-    /// The right-hand side at the estimator's current snapshot count —
-    /// one O(1) accumulator read per equation, parallel to the
-    /// structure's rows. This is the true per-refresh cost: hot loops
-    /// that re-solve repeatedly should call this and reuse a previously
-    /// built [`EquationSystem`]'s matrix (or the [`EquationStructure`]),
-    /// swapping only the RHS. Fails with [`CoreError::Measurement`] if no
-    /// snapshots have been recorded yet (the RHS would be log 0
-    /// everywhere).
+    /// The right-hand side at the estimator's current snapshot count
+    /// ([`EquationStructure::rhs`]), parallel to the structure's rows.
+    /// Per-refresh loops should call this and reuse the structure.
     pub fn rhs(&self, estimator: &StreamingEstimator) -> Result<Vec<f64>, CoreError> {
-        let mut rhs = Vec::with_capacity(self.structure.num_equations());
-        for &path in &self.structure.single_paths {
-            rhs.push(
-                estimator
-                    .log_prob_path_good(path)
-                    .map_err(CoreError::Measurement)?,
-            );
-        }
-        rhs.extend(
-            estimator
-                .log_prob_pairs_good_at(&self.pair_handles)
-                .map_err(CoreError::Measurement)?,
-        );
-        Ok(rhs)
+        self.structure.rhs(estimator)
     }
 
     /// Produces a self-contained equation system at the estimator's
     /// current snapshot count. Note this **clones the structure** (the
     /// sparse matrix, sources and coverage) to hand out an owned
-    /// [`EquationSystem`]; per-refresh loops should prefer
-    /// [`IncrementalEquationBuilder::rhs`] and reuse the structure.
+    /// [`EquationSystem`].
     pub fn system(&self, estimator: &StreamingEstimator) -> Result<EquationSystem, CoreError> {
         Ok(self.structure.clone().into_system(self.rhs(estimator)?))
     }
@@ -410,7 +390,7 @@ impl IncrementalEquationBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netcorr_measure::PathObservations;
+    use netcorr_measure::{PathObservations, ProbabilityEstimator};
     use netcorr_topology::toy;
 
     /// Observations over Figure 1(a)'s three paths where every path is good

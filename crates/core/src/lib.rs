@@ -24,13 +24,17 @@
 //!   links being congested through the congestion factors `α_A`. Used as
 //!   an oracle on small topologies.
 //!
-//! Lower-level building blocks (equation construction, solvers, congestion
-//! factors) are exposed in the [`equations`], [`solver`] and [`factors`]
-//! modules for ablation studies and custom pipelines. Multi-trial
-//! workloads should go through the [`context`] module
-//! ([`InferenceContext`] / [`ContextCache`]), which computes the equation
-//! structure, independence selection and dense QR factorization **once**
-//! per topology and reuses them across every trial's solve.
+//! The two practical algorithms are one-shot uses of a single pipeline,
+//! the [`context`] module's [`InferenceContext`]: it computes the equation
+//! structure, independence selection and solve plan (a dense QR
+//! factorization, the minimum-L1 matrix, or a blocked sparse matrix)
+//! **once** per topology, and per trial assembles the right-hand side from
+//! any [`netcorr_measure::PathCounts`] — the batch estimator offline, the
+//! streaming estimator in the daemon — and solves it. Multi-trial workloads
+//! share contexts through [`ContextCache`]. Lower-level building blocks
+//! (equation construction, solvers, congestion factors) are exposed in the
+//! [`equations`], [`solver`] and [`factors`] modules for ablation studies
+//! and custom pipelines.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -98,9 +98,9 @@ pub struct SolveOutcome {
 /// single-path equations before pair equations).
 ///
 /// The selection depends only on the matrix — never on a right-hand side —
-/// so it can be computed once per equation structure and reused across
-/// every trial that shares the structure (see [`crate::InferenceContext`]).
-pub(crate) fn select_rows(matrix: &SparseMatrix, num_links: usize, tolerance: f64) -> Vec<usize> {
+/// so it is computed once per [`PreparedSolve`] and reused across every
+/// right-hand side it solves.
+fn select_rows(matrix: &SparseMatrix, num_links: usize, tolerance: f64) -> Vec<usize> {
     let mut selector = IndependentRowSelector::new(num_links, tolerance);
     let mut selected: Vec<usize> = Vec::new();
     let mut dense_row = vec![0.0; num_links];
@@ -122,7 +122,7 @@ pub(crate) fn select_rows(matrix: &SparseMatrix, num_links: usize, tolerance: f6
 }
 
 /// Gathers the selected rows into a dense matrix (dense path).
-pub(crate) fn gather_dense(matrix: &SparseMatrix, selected: &[usize], num_links: usize) -> Matrix {
+fn gather_dense(matrix: &SparseMatrix, selected: &[usize], num_links: usize) -> Matrix {
     let mut a = Matrix::zeros(selected.len(), num_links);
     for (new_row, &row_idx) in selected.iter().enumerate() {
         for &(col, value) in matrix.row(row_idx) {
@@ -133,7 +133,7 @@ pub(crate) fn gather_dense(matrix: &SparseMatrix, selected: &[usize], num_links:
 }
 
 /// Gathers the selected rows into a sparse matrix (CGLS path).
-pub(crate) fn gather_sparse(
+fn gather_sparse(
     matrix: &SparseMatrix,
     selected: &[usize],
     num_links: usize,
@@ -147,174 +147,243 @@ pub(crate) fn gather_sparse(
     Ok(gathered)
 }
 
-/// Gathers the right-hand-side entries of the selected rows.
-pub(crate) fn gather_rhs(rhs: &[f64], selected: &[usize]) -> Vec<f64> {
-    selected.iter().map(|&i| rhs[i]).collect()
+/// The prepared numerical strategy for one equation matrix.
+enum SolvePlan {
+    /// No unknowns: every solve is the empty solution.
+    Empty,
+    /// Dense determined: the cached QR factorization of the selected
+    /// square system. Per solve: apply `Qᵀ`, back-substitute.
+    DenseFactored { qr: QrDecomposition },
+    /// Dense under-determined: the gathered selected-equation matrix for
+    /// the per-RHS minimum-L1-norm LP (no factorization to reuse).
+    DenseL1 { a: Matrix },
+    /// Sparse: the blocked CSR form of the selected equations, reused by
+    /// every CGLS solve.
+    Sparse { matrix: BlockedSparseMatrix },
 }
 
-/// Dense determined path: one back-substitution through a QR factorization
-/// of the selected square system. The factorization depends only on the
-/// matrix, so callers holding many right-hand sides over the same
-/// structure factor once and call this (or
-/// [`QrDecomposition::solve_many`]) per RHS.
-pub(crate) fn solve_dense_determined(
-    qr: &QrDecomposition,
-    b: &[f64],
-) -> Result<SolveOutcome, CoreError> {
-    let x = qr.solve_least_squares(b).map_err(CoreError::Numerical)?;
-    Ok(SolveOutcome {
-        x,
-        kind: SolverKind::DenseExact,
-        residual: 0.0,
-        used_single: 0,
-        used_pair: 0,
-        underdetermined: false,
-        iterations: 0,
-    })
-}
-
-/// Dense under-determined path: exact minimum-L1-norm LP. Substitute
-/// `z = -x ≥ 0`, so the constraints become `A z = -b` with `z ≥ 0`.
-pub(crate) fn solve_dense_l1(a: &Matrix, b: &[f64]) -> Result<SolveOutcome, CoreError> {
-    let neg_b: Vec<f64> = b.iter().map(|v| -v).collect();
-    let x = match min_l1_norm_solution_nonneg(a, &neg_b) {
-        Ok(z) => z.into_iter().map(|v| -v).collect::<Vec<f64>>(),
-        Err(LinalgError::Infeasible) => {
-            // Measurement noise can make the sign-constrained program
-            // infeasible; fall back to the free-sign formulation.
-            min_l1_norm_solution(a, b).map_err(CoreError::Numerical)?
-        }
-        Err(e) => return Err(CoreError::Numerical(e)),
-    };
-    Ok(SolveOutcome {
-        x,
-        kind: SolverKind::DenseL1,
-        residual: 0.0,
-        used_single: 0,
-        used_pair: 0,
-        underdetermined: true,
-        iterations: 0,
-    })
-}
-
-/// Scalable path: sparse CGLS (plus a small ridge) over the selected
-/// equations in blocked CSR form, optionally warm-started from a previous
-/// solution (`initial`). A cold start (`None`) is bit-identical to the
-/// historical `cgls` entry point.
-pub(crate) fn solve_sparse_prepared(
-    matrix: &BlockedSparseMatrix,
-    b: &[f64],
+/// Everything about solving one equation matrix that does not depend on
+/// the right-hand side: the independent-row selection (steps 1–3 of the
+/// module docs pick their path from it alone), its `N1`/`N2` bookkeeping,
+/// and the prepared [`SolvePlan`]. Built once per matrix, it solves any
+/// number of right-hand sides; [`solve_equations`] and
+/// [`crate::InferenceContext`] are both thin layers over it.
+pub(crate) struct PreparedSolve {
+    config: SolverConfig,
+    selected: Vec<usize>,
+    used_single: usize,
+    used_pair: usize,
     underdetermined: bool,
-    config: &SolverConfig,
-    initial: Option<&[f64]>,
-) -> Result<SolveOutcome, CoreError> {
-    let solution = cgls_blocked(
-        matrix,
-        b,
-        config.ridge,
-        config.cgls_iterations,
-        config.cgls_tolerance,
-        initial,
-    )
-    .map_err(CoreError::Numerical)?;
-    Ok(SolveOutcome {
-        x: solution.x,
-        kind: SolverKind::SparseIterative,
-        residual: solution.residual,
-        used_single: 0,
-        used_pair: 0,
-        underdetermined,
-        iterations: solution.iterations,
-    })
+    plan: SolvePlan,
+}
+
+impl PreparedSolve {
+    /// Selects the independent rows of `matrix` (whose rows `sources`
+    /// describes) and prepares the plan: `num_links == 0` is empty,
+    /// `num_links <= dense_threshold` goes dense (the threshold is
+    /// inclusive), anything larger goes to sparse CGLS.
+    pub(crate) fn new(
+        matrix: &SparseMatrix,
+        sources: &[EquationSource],
+        num_links: usize,
+        config: &SolverConfig,
+    ) -> Result<Self, CoreError> {
+        let selected = select_rows(matrix, num_links, config.independence_tolerance);
+        let used_single = selected
+            .iter()
+            .filter(|&&i| matches!(sources[i], EquationSource::SinglePath(_)))
+            .count();
+        let used_pair = selected.len() - used_single;
+        let underdetermined = selected.len() < num_links;
+        let plan = if num_links == 0 {
+            SolvePlan::Empty
+        } else if num_links <= config.dense_threshold {
+            let a = gather_dense(matrix, &selected, num_links);
+            if underdetermined {
+                SolvePlan::DenseL1 { a }
+            } else {
+                SolvePlan::DenseFactored {
+                    qr: QrDecomposition::new(&a).map_err(CoreError::Numerical)?,
+                }
+            }
+        } else {
+            let gathered = gather_sparse(matrix, &selected, num_links)?;
+            SolvePlan::Sparse {
+                matrix: gathered.to_blocked(),
+            }
+        };
+        Ok(PreparedSolve {
+            config: *config,
+            selected,
+            used_single,
+            used_pair,
+            underdetermined,
+            plan,
+        })
+    }
+
+    /// Whether fewer independent equations than unknowns were available.
+    pub(crate) fn underdetermined(&self) -> bool {
+        self.underdetermined
+    }
+
+    /// Which numerical path solves this matrix's systems.
+    pub(crate) fn kind(&self) -> SolverKind {
+        match self.plan {
+            SolvePlan::Empty | SolvePlan::DenseFactored { .. } => SolverKind::DenseExact,
+            SolvePlan::DenseL1 { .. } => SolverKind::DenseL1,
+            SolvePlan::Sparse { .. } => SolverKind::SparseIterative,
+        }
+    }
+
+    /// Solves one right-hand side (one entry per row of `matrix`, the
+    /// matrix this plan was prepared from). On the sparse path CGLS starts
+    /// from `initial` instead of zero; the dense paths ignore it.
+    pub(crate) fn solve(
+        &self,
+        matrix: &SparseMatrix,
+        rhs: &[f64],
+        initial: Option<&[f64]>,
+    ) -> Result<SolveOutcome, CoreError> {
+        let b = self.gather(matrix, rhs)?;
+        let (x, iterations) = match &self.plan {
+            SolvePlan::Empty => (Vec::new(), 0),
+            SolvePlan::DenseFactored { qr } => {
+                (qr.solve_least_squares(&b).map_err(CoreError::Numerical)?, 0)
+            }
+            // Exact minimum-L1-norm LP. Substitute `z = -x ≥ 0`, so the
+            // constraints become `A z = -b` with `z ≥ 0`.
+            SolvePlan::DenseL1 { a } => {
+                let neg_b: Vec<f64> = b.iter().map(|v| -v).collect();
+                let x = match min_l1_norm_solution_nonneg(a, &neg_b) {
+                    Ok(z) => z.into_iter().map(|v| -v).collect(),
+                    // Measurement noise can make the sign-constrained
+                    // program infeasible; fall back to the free-sign
+                    // formulation.
+                    Err(LinalgError::Infeasible) => {
+                        min_l1_norm_solution(a, &b).map_err(CoreError::Numerical)?
+                    }
+                    Err(e) => return Err(CoreError::Numerical(e)),
+                };
+                (x, 0)
+            }
+            // Sparse CGLS plus a small ridge; a cold start (`None`) is
+            // bit-identical to the plain `cgls` entry point.
+            SolvePlan::Sparse { matrix: blocked } => {
+                let solution = cgls_blocked(
+                    blocked,
+                    &b,
+                    self.config.ridge,
+                    self.config.cgls_iterations,
+                    self.config.cgls_tolerance,
+                    initial,
+                )
+                .map_err(CoreError::Numerical)?;
+                (solution.x, solution.iterations)
+            }
+        };
+        self.finish(x, iterations, matrix, rhs)
+    }
+
+    /// Solves a batch of right-hand sides. Dense determined plans go
+    /// through the RHS-batched [`QrDecomposition::solve_many`]
+    /// (bit-identical to one [`PreparedSolve::solve`] per RHS); sparse
+    /// plans warm-start each solve from the previous solution within
+    /// chunks of `warm_chain`.
+    pub(crate) fn solve_batch(
+        &self,
+        matrix: &SparseMatrix,
+        rhs_batch: &[Vec<f64>],
+        warm_chain: usize,
+    ) -> Result<Vec<SolveOutcome>, CoreError> {
+        match &self.plan {
+            SolvePlan::DenseFactored { qr } => {
+                let bs = rhs_batch
+                    .iter()
+                    .map(|rhs| self.gather(matrix, rhs))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let solutions = qr.solve_many(&bs).map_err(CoreError::Numerical)?;
+                solutions
+                    .into_iter()
+                    .zip(rhs_batch)
+                    .map(|(x, rhs)| self.finish(x, 0, matrix, rhs))
+                    .collect()
+            }
+            SolvePlan::Sparse { .. } => {
+                let mut outcomes = Vec::with_capacity(rhs_batch.len());
+                for chunk in rhs_batch.chunks(warm_chain) {
+                    let mut warm: Option<Vec<f64>> = None;
+                    for rhs in chunk {
+                        let outcome = self.solve(matrix, rhs, warm.as_deref())?;
+                        warm = Some(outcome.x.clone());
+                        outcomes.push(outcome);
+                    }
+                }
+                Ok(outcomes)
+            }
+            _ => rhs_batch
+                .iter()
+                .map(|rhs| self.solve(matrix, rhs, None))
+                .collect(),
+        }
+    }
+
+    /// The selected rows' right-hand-side entries, after checking that
+    /// `rhs` has one entry per row.
+    fn gather(&self, matrix: &SparseMatrix, rhs: &[f64]) -> Result<Vec<f64>, CoreError> {
+        if rhs.len() != matrix.rows() {
+            return Err(CoreError::InvalidConfig(format!(
+                "right-hand side has {} entries, structure has {} equations",
+                rhs.len(),
+                matrix.rows()
+            )));
+        }
+        Ok(self.selected.iter().map(|&i| rhs[i]).collect())
+    }
+
+    /// The outcome of a solution `x`: the optional clamp to `x ≤ 0`, the
+    /// bookkeeping, and the residual over every collected equation (after
+    /// clamping), so the numerical paths are directly comparable.
+    fn finish(
+        &self,
+        mut x: Vec<f64>,
+        iterations: usize,
+        matrix: &SparseMatrix,
+        rhs: &[f64],
+    ) -> Result<SolveOutcome, CoreError> {
+        if self.config.clamp_nonpositive {
+            for value in &mut x {
+                if *value > 0.0 {
+                    *value = 0.0;
+                }
+            }
+        }
+        let ax = matrix.matvec(&x).map_err(CoreError::Numerical)?;
+        Ok(SolveOutcome {
+            residual: norms::l2_norm(&norms::sub(&ax, rhs)),
+            x,
+            kind: self.kind(),
+            used_single: self.used_single,
+            used_pair: self.used_pair,
+            underdetermined: self.underdetermined,
+            iterations,
+        })
+    }
 }
 
 /// Solves the collected measurement system for the per-link
-/// log-good-probabilities.
+/// log-good-probabilities, through the same prepared plan an
+/// [`crate::InferenceContext`] keeps, built and used once.
 pub fn solve_equations(
     system: &EquationSystem,
     num_links: usize,
     config: &SolverConfig,
 ) -> Result<SolveOutcome, CoreError> {
-    if num_links == 0 {
-        // No unknowns: both numerical paths agree on the empty solution
-        // (the dispatch boundary is irrelevant), so report the dense exact
-        // kind with the residual of the untouched right-hand side.
-        return Ok(SolveOutcome {
-            x: Vec::new(),
-            kind: SolverKind::DenseExact,
-            residual: norms::l2_norm(&system.rhs),
-            used_single: 0,
-            used_pair: 0,
-            underdetermined: false,
-            iterations: 0,
-        });
-    }
-
-    // --- 1. Select a maximal linearly-independent subset of equations, in
-    // the paper's priority order. ---
-    let selected = select_rows(&system.matrix, num_links, config.independence_tolerance);
-    let used_single = selected
-        .iter()
-        .filter(|&&i| matches!(system.sources[i], EquationSource::SinglePath(_)))
-        .count();
-    let used_pair = selected.len() - used_single;
-    let underdetermined = selected.len() < num_links;
-    let b = gather_rhs(&system.rhs, &selected);
-
-    // --- 2./3. Solve the selected equations. `num_links == dense_threshold`
-    // goes dense (the threshold is inclusive). ---
-    let mut outcome = if num_links <= config.dense_threshold {
-        let a = gather_dense(&system.matrix, &selected, num_links);
-        if underdetermined {
-            solve_dense_l1(&a, &b)?
-        } else {
-            let qr = QrDecomposition::new(&a).map_err(CoreError::Numerical)?;
-            solve_dense_determined(&qr, &b)?
-        }
-    } else {
-        let gathered = gather_sparse(&system.matrix, &selected, num_links)?;
-        solve_sparse_prepared(&gathered.to_blocked(), &b, underdetermined, config, None)?
-    };
-    outcome.used_single = used_single;
-    outcome.used_pair = used_pair;
-    outcome.underdetermined = underdetermined;
-
-    if config.clamp_nonpositive {
-        for x in &mut outcome.x {
-            if *x > 0.0 {
-                *x = 0.0;
-            }
-        }
-    }
-    // Residual over every collected equation (after clamping), so the two
-    // numerical paths are directly comparable.
-    let ax = system
-        .matrix
-        .matvec(&outcome.x)
-        .map_err(CoreError::Numerical)?;
-    outcome.residual = norms::l2_norm(&norms::sub(&ax, &system.rhs));
-    Ok(outcome)
-}
-
-/// Convenience for tests and ablations: solves the same system with both
-/// numerical paths and returns `(dense, sparse)`.
-pub fn solve_both_paths(
-    system: &EquationSystem,
-    num_links: usize,
-    config: &SolverConfig,
-) -> Result<(SolveOutcome, SolveOutcome), CoreError> {
-    let dense_config = SolverConfig {
-        dense_threshold: usize::MAX,
-        ..*config
-    };
-    let sparse_config = SolverConfig {
-        dense_threshold: 0,
-        ..*config
-    };
-    Ok((
-        solve_equations(system, num_links, &dense_config)?,
-        solve_equations(system, num_links, &sparse_config)?,
-    ))
+    PreparedSolve::new(&system.matrix, &system.sources, num_links, config)?.solve(
+        &system.matrix,
+        &system.rhs,
+        None,
+    )
 }
 
 #[cfg(test)]
@@ -380,7 +449,14 @@ mod tests {
     #[test]
     fn sparse_path_matches_dense_on_small_systems() {
         let (system, x_true) = fig1a_exact_system();
-        let (dense, sparse) = solve_both_paths(&system, 4, &SolverConfig::default()).unwrap();
+        let solve = |dense_threshold| {
+            let config = SolverConfig {
+                dense_threshold,
+                ..SolverConfig::default()
+            };
+            solve_equations(&system, 4, &config).unwrap()
+        };
+        let (dense, sparse) = (solve(usize::MAX), solve(0));
         assert_eq!(dense.kind, SolverKind::DenseExact);
         assert_eq!(sparse.kind, SolverKind::SparseIterative);
         assert!(norms::approx_eq(&dense.x, &x_true, 1e-8));
@@ -557,7 +633,7 @@ mod tests {
     fn dispatch_boundary_is_inclusive_at_the_dense_threshold() {
         // `num_links == dense_threshold` goes dense; one below goes
         // sparse; `dense_threshold: 0` sends every non-empty system to the
-        // sparse path (the configuration `solve_both_paths` relies on).
+        // sparse path.
         let (system, _) = fig1a_exact_system();
         let at = SolverConfig {
             dense_threshold: 4,

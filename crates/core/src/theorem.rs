@@ -6,7 +6,9 @@
 //! **every** set of links being congested:
 //!
 //! 1. measure `P(ψ(S) = ∅)` and `P(ψ(S) = ψ(A))` for every correlation
-//!    subset `A ∈ C̃`;
+//!    subset `A ∈ C̃` — through [`PathCounts`], so a batch estimator over
+//!    recorded observations and a streaming estimator's pattern counters
+//!    run the same code;
 //! 2. identify every congestion factor `α_A` by the recursion of Lemma 2
 //!    (implemented in [`crate::factors`]);
 //! 3. convert factors into probabilities with Lemma 3:
@@ -23,14 +25,16 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
-use netcorr_measure::{PathObservations, ProbabilityEstimator, StreamingEstimator};
+use netcorr_measure::{PathCounts, PathObservations, ProbabilityEstimator, StreamingEstimator};
 use netcorr_topology::correlation::CorrelationSetId;
 use netcorr_topology::graph::LinkId;
 use netcorr_topology::path::PathId;
 use netcorr_topology::TopologyInstance;
 
 use crate::error::CoreError;
-use crate::factors::{enumerate_subsets, identify_factors, EnumerationLimits, SubsetFactor};
+use crate::factors::{
+    enumerate_subsets, identify_factors, EnumerationLimits, SubsetEnumeration, SubsetFactor,
+};
 use crate::result::{Diagnostics, SolverKind, TomographyEstimate};
 
 /// Configuration of the exact algorithm.
@@ -146,27 +150,8 @@ impl<'a> TheoremAlgorithm<'a> {
         self.instance.validate()?;
         self.check_width(observations.num_paths())?;
         let estimator = ProbabilityEstimator::new(observations)?;
-        let p_all_good = estimator.prob_all_paths_good()?;
-        // Guarding before enumeration skips the subset enumeration and
-        // the batch row-matching pass when the error is already
-        // inevitable, and keeps the error precedence of the pre-refactor
-        // code (insufficient observations before enumeration limits).
-        Self::check_normalisable(p_all_good)?;
-
-        let enumeration = enumerate_subsets(self.instance, &self.config.limits)?;
-        // Measure P(ψ(S) = ψ(A)) for every correlation subset up front
-        // through the estimator's batch API: all target patterns are packed
-        // into word masks once and matched in a single streaming pass over
-        // the packed snapshot rows.
-        let coverages: Vec<BTreeSet<PathId>> = enumeration
-            .subsets
-            .iter()
-            .map(|s| s.coverage.clone())
-            .collect();
-        let batch = estimator.prob_exactly_congested_batch(&coverages)?;
-        let measured: BTreeMap<BTreeSet<PathId>, f64> =
-            coverages.into_iter().zip(batch.iter().copied()).collect();
-        self.complete(enumeration, p_all_good, &measured)
+        let (enumeration, p_all_good) = self.enumerate(&estimator)?;
+        self.complete(&estimator, enumeration, p_all_good)
     }
 
     /// Identifies the congestion probabilities from a
@@ -177,7 +162,7 @@ impl<'a> TheoremAlgorithm<'a> {
     /// already pushed is caught up with one kernel sweep), so the first
     /// call may scan, but every later call — as more snapshots stream in —
     /// reads each measurement as an O(1) counter, **never re-matching the
-    /// recorded rows**. This is how long-running deployments re-run the
+    /// recorded lanes**. This is how long-running deployments re-run the
     /// exact algorithm per snapshot batch at constant incremental cost.
     pub fn infer_streaming(
         &self,
@@ -185,48 +170,50 @@ impl<'a> TheoremAlgorithm<'a> {
     ) -> Result<TheoremEstimate, CoreError> {
         self.instance.validate()?;
         self.check_width(estimator.num_paths())?;
-        let p_all_good = estimator
-            .prob_all_paths_good()
-            .map_err(CoreError::Measurement)?;
-        Self::check_normalisable(p_all_good)?;
-
-        let enumeration = enumerate_subsets(self.instance, &self.config.limits)?;
-        let mut measured: BTreeMap<BTreeSet<PathId>, f64> = BTreeMap::new();
+        let (enumeration, p_all_good) = self.enumerate(estimator)?;
         for subset in &enumeration.subsets {
-            estimator
-                .register_pattern(&subset.coverage)
-                .map_err(CoreError::Measurement)?;
-            let p = estimator
-                .prob_exactly_congested(&subset.coverage)
-                .map_err(CoreError::Measurement)?;
-            measured.insert(subset.coverage.clone(), p);
+            estimator.register_pattern(&subset.coverage)?;
         }
-        self.complete(enumeration, p_all_good, &measured)
+        self.complete(estimator, enumeration, p_all_good)
     }
 
-    /// The congestion factors are normalised by `P(ψ(S) = ∅)`; a zero
-    /// estimate means the observations cannot support the algorithm.
-    fn check_normalisable(p_all_good: f64) -> Result<(), CoreError> {
+    /// Measures `P(ψ(S) = ∅)` and enumerates the correlation subsets.
+    /// The congestion factors are normalised by `P(ψ(S) = ∅)`, so a zero
+    /// estimate means the observations cannot support the algorithm; it
+    /// is reported before the (possibly large) enumeration runs.
+    fn enumerate<C: PathCounts + ?Sized>(
+        &self,
+        counts: &C,
+    ) -> Result<(SubsetEnumeration, f64), CoreError> {
+        let p_all_good = counts.prob_all_paths_good()?;
         if p_all_good <= 0.0 {
             return Err(CoreError::InsufficientObservations {
                 reason: "an all-paths-good snapshot was never observed",
             });
         }
-        Ok(())
+        Ok((
+            enumerate_subsets(self.instance, &self.config.limits)?,
+            p_all_good,
+        ))
     }
 
-    /// The shared back half of the exact algorithm: identify the factors
-    /// from the measured coverage probabilities (Lemma 2), then convert
-    /// factors into probabilities (Lemma 3). Expects `p_all_good` already
-    /// validated by [`TheoremAlgorithm::check_normalisable`] at both call
-    /// sites.
-    fn complete(
+    /// The back half of the exact algorithm: measure every subset's
+    /// coverage pattern, identify the factors (Lemma 2), then convert
+    /// factors into probabilities (Lemma 3).
+    fn complete<C: PathCounts + ?Sized>(
         &self,
-        mut enumeration: crate::factors::SubsetEnumeration,
+        counts: &C,
+        mut enumeration: SubsetEnumeration,
         p_all_good: f64,
-        measured: &BTreeMap<BTreeSet<PathId>, f64>,
     ) -> Result<TheoremEstimate, CoreError> {
-        debug_assert!(p_all_good > 0.0);
+        let coverages: Vec<BTreeSet<PathId>> = enumeration
+            .subsets
+            .iter()
+            .map(|s| s.coverage.clone())
+            .collect();
+        let probabilities = counts.prob_exactly_congested_batch(&coverages)?;
+        let measured: BTreeMap<BTreeSet<PathId>, f64> =
+            coverages.into_iter().zip(probabilities).collect();
         identify_factors(
             &mut enumeration,
             &self.config.limits,

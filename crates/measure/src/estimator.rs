@@ -12,8 +12,9 @@
 //!   exactly the congested paths (the left-hand side of Eq. 18, used by the
 //!   exact theorem algorithm).
 //!
-//! Each of them is an integer count over the packed path lanes, divided by
-//! the snapshot count:
+//! Each of them is an integer count over the packed path lanes, answered
+//! through the [`PathCounts`] trait (whose provided methods turn counts into
+//! probabilities, the same code for the streaming estimator):
 //!
 //! * joint-good counts AND the complemented lanes and popcount the result
 //!   (64 snapshots per word), through the SIMD kernel ladder in
@@ -24,15 +25,9 @@
 //! * the all-good count ORs every lane into one accumulator and stops as
 //!   soon as every snapshot has seen a congested path.
 //!
-//! The batch entry points ([`ProbabilityEstimator::log_prob_pairs_good`],
-//! [`ProbabilityEstimator::prob_exactly_congested_batch`]) exist so the
-//! equation builder and the theorem algorithm issue *one* call for all
-//! their queries.
-//!
-//! Estimated probabilities of zero are problematic for the log-linear
-//! equations (log 0 = −∞), so [`ProbabilityEstimator::log_prob_paths_good`]
-//! clamps frequencies to a floor of `1/(2·N)` where `N` is the number of
-//! snapshots — the usual "half a count" correction for unobserved events.
+//! Queries over more than two paths ([`ProbabilityEstimator::prob_paths_good`])
+//! are specific to the batch estimator: the streaming estimator only keeps
+//! the counts it was asked to register.
 //!
 //! An estimator *borrows* its lane words, so the same type serves every
 //! memory tier: a heap-owned [`PathObservations`]
@@ -48,6 +43,7 @@ use std::collections::BTreeSet;
 use netcorr_topology::path::PathId;
 
 use crate::bitset::{simd, splice_lane, BitLanesView, WORD_BITS};
+use crate::counts::{check_path, divisor, PathCounts};
 use crate::error::MeasureError;
 use crate::observation::{binary_header, parse_binary_header, PathObservations, BINARY_HEADER_LEN};
 
@@ -125,44 +121,13 @@ impl<'a> ProbabilityEstimator<'a> {
         self.lanes
     }
 
-    /// The probability floor used when clamping zero frequencies before
-    /// taking logarithms: `1 / (2 N)`.
-    pub fn probability_floor(&self) -> f64 {
-        1.0 / (2.0 * self.num_snapshots() as f64)
-    }
-
-    /// The snapshot count as the divisor of every probability, or
-    /// [`MeasureError::NoSnapshots`].
-    fn snapshots_divisor(&self) -> Result<f64, MeasureError> {
-        if self.is_empty() {
-            return Err(MeasureError::NoSnapshots);
-        }
-        Ok(self.num_snapshots() as f64)
-    }
-
-    fn check_path(&self, path: PathId) -> Result<(), MeasureError> {
-        if path.index() >= self.num_paths() {
-            return Err(MeasureError::UnknownPath {
-                index: path.index(),
-                num_paths: self.num_paths(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Number of snapshots in which `path` was congested.
-    pub fn congested_count(&self, path: PathId) -> Result<usize, MeasureError> {
-        self.check_path(path)?;
-        Ok(self.lanes.count_ones(path.index()))
-    }
-
     /// Number of snapshots in which *all* the given paths were good:
     /// popcount of the AND of the complemented lanes (the tail of the last
     /// word is masked because complementing turns the zero padding into
     /// ones), through the SIMD kernel ladder of [`simd`].
     pub fn all_good_count(&self, paths: &[PathId]) -> Result<usize, MeasureError> {
         for &p in paths {
-            self.check_path(p)?;
+            check_path(p, self.num_paths())?;
         }
         let mask = self.lanes.last_word_mask();
         if let [a, b] = paths {
@@ -176,184 +141,18 @@ impl<'a> ProbabilityEstimator<'a> {
         Ok(simd::all_good_count(&lanes, self.lanes.used_words(), mask))
     }
 
-    /// Number of snapshots in which every path was good (`ψ(S) = ∅`): the
-    /// lanes are ORed into one accumulator whose phantom tail bits start
-    /// set, and the sweep stops once every snapshot has seen a congested
-    /// path.
-    pub fn all_paths_good_count(&self) -> usize {
-        let used = self.lanes.used_words();
-        if used == 0 {
-            return 0;
-        }
-        let mut seen = vec![0u64; used];
-        seen[used - 1] = !self.lanes.last_word_mask();
-        // Four lanes per pass, so the accumulator is loaded and stored once
-        // per four lane words; saturation is checked every eight lanes.
-        let paths = self.num_paths();
-        let quads = paths - paths % 4;
-        for p in (0..quads).step_by(4) {
-            let [a, b, c, d] = [p, p + 1, p + 2, p + 3].map(|q| self.lanes.lane(q));
-            for ((((s, &a), &b), &c), &d) in seen.iter_mut().zip(a).zip(b).zip(c).zip(d) {
-                *s |= a | b | c | d;
-            }
-            if p % 8 == 4 && seen.iter().all(|&s| s == !0) {
-                return 0;
-            }
-        }
-        for p in quads..paths {
-            for (s, &word) in seen.iter_mut().zip(self.lanes.lane(p)) {
-                *s |= word;
-            }
-        }
-        seen.iter().map(|s| (!s).count_ones() as usize).sum()
-    }
-
-    /// Number of snapshots in which the congested paths were *exactly*
-    /// the given set. The empty pattern is [`Self::all_paths_good_count`].
-    /// Otherwise the member lanes are ANDed first, lane by lane, into the
-    /// words that still hold candidate snapshots — a word drops out as
-    /// soon as it is all zero, and unless the data are very sparse a few
-    /// members empty all but the matching words. Each surviving word is
-    /// then swept across the complemented non-member lanes, read as one
-    /// strided column of that word, until it is all zero.
-    pub fn pattern_count(&self, congested: &BTreeSet<PathId>) -> Result<usize, MeasureError> {
-        let members = congested
-            .iter()
-            .map(|&p| self.check_path(p).map(|()| p.index()))
-            .collect::<Result<Vec<usize>, _>>()?;
-        if members.is_empty() {
-            return Ok(self.all_paths_good_count());
-        }
-        // The words that can still hold a match, with their candidates.
-        let used = self.lanes.used_words();
-        let mut live: Vec<(usize, u64)> = (0..used)
-            .map(|w| {
-                (
-                    w,
-                    if w + 1 == used {
-                        self.lanes.last_word_mask()
-                    } else {
-                        !0
-                    },
-                )
-            })
-            .collect();
-        for &m in &members {
-            let lane = self.lanes.lane(m);
-            live.retain_mut(|(w, acc)| {
-                *acc &= lane[*w];
-                *acc != 0
-            });
-        }
-        let mut count = 0;
-        for (w, mut acc) in live {
-            let mut next_member = members.iter().copied().peekable();
-            for (p, word) in self.lanes.word_column(w).enumerate() {
-                if acc == 0 {
-                    break;
-                }
-                if next_member.next_if_eq(&p).is_none() {
-                    acc &= !word;
-                }
-            }
-            count += acc.count_ones() as usize;
-        }
-        Ok(count)
-    }
-
-    /// Empirical `P(Y_i = 1)`.
-    pub fn prob_path_congested(&self, path: PathId) -> Result<f64, MeasureError> {
-        let n = self.snapshots_divisor()?;
-        Ok(self.congested_count(path)? as f64 / n)
-    }
-
-    /// Empirical `P(Y_i = 0)`: the fraction of snapshots in which `path`
-    /// was good.
-    pub fn prob_path_good(&self, path: PathId) -> Result<f64, MeasureError> {
-        Ok(1.0 - self.prob_path_congested(path)?)
-    }
-
     /// Empirical probability that *all* the given paths were good in the
     /// same snapshot (`P(Y_{i1} = 0, ..., Y_{ik} = 0)`).
     pub fn prob_paths_good(&self, paths: &[PathId]) -> Result<f64, MeasureError> {
-        let n = self.snapshots_divisor()?;
+        let n = divisor(self)?;
         Ok(self.all_good_count(paths)? as f64 / n)
     }
 
-    /// Batch form of the path-pair query: one `P(Y_i = 0, Y_j = 0)` per
-    /// pair, validated once up front. This is the equation builder's hot
-    /// path — each pair costs one AND/popcount sweep over two packed lanes
-    /// (`⌈N/64⌉` words), never a rescan of the full observation matrix.
-    pub fn prob_pairs_good(&self, pairs: &[(PathId, PathId)]) -> Result<Vec<f64>, MeasureError> {
-        let n = self.snapshots_divisor()?;
-        for &(a, b) in pairs {
-            self.check_path(a)?;
-            self.check_path(b)?;
-        }
-        let mask = self.lanes.last_word_mask();
-        Ok(pairs
-            .iter()
-            .map(|&(a, b)| {
-                let count = simd::pair_good_count(
-                    self.lanes.lane(a.index()),
-                    self.lanes.lane(b.index()),
-                    mask,
-                );
-                count as f64 / n
-            })
-            .collect())
-    }
-
-    /// Batch form of [`ProbabilityEstimator::log_prob_paths_good`] over
-    /// path pairs: clamped `log P(Y_i = 0, Y_j = 0)` per pair.
-    pub fn log_prob_pairs_good(
-        &self,
-        pairs: &[(PathId, PathId)],
-    ) -> Result<Vec<f64>, MeasureError> {
-        let floor = self.probability_floor();
-        Ok(self
-            .prob_pairs_good(pairs)?
-            .into_iter()
-            .map(|p| p.max(floor).ln())
-            .collect())
-    }
-
     /// `log P(all given paths good)`, clamped below by the probability
-    /// floor so the result is always finite. This is the right-hand side
-    /// `y` of the log-linear equations in Section 4.
+    /// floor so the result is always finite.
     pub fn log_prob_paths_good(&self, paths: &[PathId]) -> Result<f64, MeasureError> {
         let p = self.prob_paths_good(paths)?;
         Ok(p.max(self.probability_floor()).ln())
-    }
-
-    /// Empirical `P(ψ(S) = ∅)`: the fraction of snapshots in which every
-    /// path was good.
-    pub fn prob_all_paths_good(&self) -> Result<f64, MeasureError> {
-        let n = self.snapshots_divisor()?;
-        Ok(self.all_paths_good_count() as f64 / n)
-    }
-
-    /// Empirical `P(ψ(S) = ψ(A))`: the fraction of snapshots in which the
-    /// congested paths were *exactly* the given set.
-    pub fn prob_exactly_congested(
-        &self,
-        congested: &BTreeSet<PathId>,
-    ) -> Result<f64, MeasureError> {
-        let n = self.snapshots_divisor()?;
-        Ok(self.pattern_count(congested)? as f64 / n)
-    }
-
-    /// Batch form of [`ProbabilityEstimator::prob_exactly_congested`]: one
-    /// probability per target pattern (the theorem algorithm queries every
-    /// correlation subset's coverage in one call).
-    pub fn prob_exactly_congested_batch(
-        &self,
-        patterns: &[BTreeSet<PathId>],
-    ) -> Result<Vec<f64>, MeasureError> {
-        patterns
-            .iter()
-            .map(|pattern| self.prob_exactly_congested(pattern))
-            .collect()
     }
 
     /// Paths that were congested during at least one snapshot.
@@ -398,6 +197,122 @@ impl<'a> ProbabilityEstimator<'a> {
             }
         }
         Ok(out)
+    }
+}
+
+impl PathCounts for ProbabilityEstimator<'_> {
+    fn num_paths(&self) -> usize {
+        self.lanes.num_lanes()
+    }
+
+    fn num_snapshots(&self) -> usize {
+        self.lanes.num_slots()
+    }
+
+    /// One popcount over the path's lane.
+    fn congested_count(&self, path: PathId) -> Result<usize, MeasureError> {
+        check_path(path, self.num_paths())?;
+        Ok(self.lanes.count_ones(path.index()))
+    }
+
+    /// Every pair is validated up front; each then costs one
+    /// AND/popcount sweep over two packed lanes (`⌈N/64⌉` words), never a
+    /// rescan of the full observation matrix.
+    fn pair_good_counts(&self, pairs: &[(PathId, PathId)]) -> Result<Vec<usize>, MeasureError> {
+        for &(a, b) in pairs {
+            check_path(a, self.num_paths())?;
+            check_path(b, self.num_paths())?;
+        }
+        let mask = self.lanes.last_word_mask();
+        Ok(pairs
+            .iter()
+            .map(|&(a, b)| {
+                simd::pair_good_count(self.lanes.lane(a.index()), self.lanes.lane(b.index()), mask)
+            })
+            .collect())
+    }
+
+    /// The lanes are ORed into one accumulator whose phantom tail bits
+    /// start set, and the sweep stops once every snapshot has seen a
+    /// congested path.
+    fn all_paths_good_count(&self) -> usize {
+        let used = self.lanes.used_words();
+        if used == 0 {
+            return 0;
+        }
+        let mut seen = vec![0u64; used];
+        seen[used - 1] = !self.lanes.last_word_mask();
+        // Four lanes per pass, so the accumulator is loaded and stored once
+        // per four lane words; saturation is checked every eight lanes.
+        let paths = self.num_paths();
+        let quads = paths - paths % 4;
+        for p in (0..quads).step_by(4) {
+            let [a, b, c, d] = [p, p + 1, p + 2, p + 3].map(|q| self.lanes.lane(q));
+            for ((((s, &a), &b), &c), &d) in seen.iter_mut().zip(a).zip(b).zip(c).zip(d) {
+                *s |= a | b | c | d;
+            }
+            if p % 8 == 4 && seen.iter().all(|&s| s == !0) {
+                return 0;
+            }
+        }
+        for p in quads..paths {
+            for (s, &word) in seen.iter_mut().zip(self.lanes.lane(p)) {
+                *s |= word;
+            }
+        }
+        seen.iter().map(|s| (!s).count_ones() as usize).sum()
+    }
+
+    /// The empty pattern is [`PathCounts::all_paths_good_count`].
+    /// Otherwise the member lanes are ANDed first, lane by lane, into the
+    /// words that still hold candidate snapshots — a word drops out as
+    /// soon as it is all zero, and unless the data are very sparse a few
+    /// members empty all but the matching words. Each surviving word is
+    /// then swept across the complemented non-member lanes, read as one
+    /// strided column of that word, until it is all zero.
+    fn pattern_count(&self, pattern: &BTreeSet<PathId>) -> Result<usize, MeasureError> {
+        let members = pattern
+            .iter()
+            .map(|&p| check_path(p, self.num_paths()).map(|()| p.index()))
+            .collect::<Result<Vec<usize>, _>>()?;
+        if members.is_empty() {
+            return Ok(self.all_paths_good_count());
+        }
+        // The words that can still hold a match, with their candidates.
+        let used = self.lanes.used_words();
+        let mut live: Vec<(usize, u64)> = (0..used)
+            .map(|w| {
+                (
+                    w,
+                    if w + 1 == used {
+                        self.lanes.last_word_mask()
+                    } else {
+                        !0
+                    },
+                )
+            })
+            .collect();
+        for &m in &members {
+            let lane = self.lanes.lane(m);
+            live.retain_mut(|(w, acc)| {
+                *acc &= lane[*w];
+                *acc != 0
+            });
+        }
+        let mut count = 0;
+        for (w, mut acc) in live {
+            let mut next_member = members.iter().copied().peekable();
+            for (p, word) in self.lanes.word_column(w).enumerate() {
+                if acc == 0 {
+                    break;
+                }
+                if next_member.next_if_eq(&p).is_none() {
+                    acc &= !word;
+                }
+            }
+            count += acc.count_ones() as usize;
+        }
+        Ok(count)
     }
 }
 

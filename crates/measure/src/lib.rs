@@ -13,7 +13,7 @@
 //!   the algorithms need: `P(Y_i = 0)` (a path is good), joint
 //!   `P(Y_i = 0, Y_j = 0)`, `P(ψ(S) = ∅)` (all paths good) and
 //!   `P(ψ(S) = ψ(A))` (a given set of paths are the only congested ones),
-//!   all as counts over borrowed lane words. Joint queries are
+//!   all as [`PathCounts`] over borrowed lane words. Joint queries are
 //!   AND/popcount kernels; exact-state and all-good queries are lane-major
 //!   sweeps with early exits. Batch entry points serve the equation
 //!   builder and the theorem algorithm without per-query rescans. The
@@ -23,6 +23,10 @@
 //!   O(1) per pushed snapshot, so registered pair / pattern queries are
 //!   O(1) counter reads with no lane scan (long-running deployments
 //!   re-estimate per snapshot batch at constant incremental cost).
+//! * [`PathCounts`] — the counts interface both estimators implement.
+//!   Every probability, and every clamped log-probability the equations'
+//!   right-hand sides are made of, is a provided method over those
+//!   counts, written once, so the two estimators agree bit for bit.
 //! * [`MappedObservations`] — an owning handle that memory-maps a v3
 //!   observation file and hands out a [`ProbabilityEstimator`] over the
 //!   mapped words (no word copy). The streaming estimator can seed its
@@ -50,6 +54,7 @@
 #![deny(unsafe_code)]
 
 pub mod bitset;
+pub mod counts;
 pub mod error;
 pub mod estimator;
 pub mod mapped;
@@ -58,6 +63,7 @@ pub mod reference;
 pub mod streaming;
 
 pub use bitset::{BitLanes, BitLanesView, BitMatrix};
+pub use counts::PathCounts;
 pub use error::MeasureError;
 pub use estimator::ProbabilityEstimator;
 pub use mapped::MappedObservations;

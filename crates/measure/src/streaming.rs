@@ -25,11 +25,15 @@
 //! recorded is allowed and performs a one-time catch-up scan over the
 //! lanes, so registration order never changes results.
 //!
+//! The counters are served through [`PathCounts`], the same trait the
+//! batch estimator implements, so every probability — and every
+//! right-hand side `netcorr_core` assembles from them — comes from the
+//! same provided methods, bit-exact with the batch estimator (both sides
+//! count integers and divide by the same `N`). Querying a pair or pattern
+//! that was never registered is an [`MeasureError::Unregistered`] error.
 //! The estimator also keeps the full bit-packed [`PathObservations`]
 //! store, so ad-hoc queries outside the registered set can always fall
-//! back to the batch estimator ([`StreamingEstimator::batch`]), and the
-//! differential suite can assert that streaming and batch answers are
-//! bit-exact (both sides count integers and divide by the same `N`).
+//! back to the batch estimator ([`StreamingEstimator::batch`]).
 //!
 //! # Mapped history segments
 //!
@@ -49,6 +53,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use netcorr_topology::path::PathId;
 
 use crate::bitset::{words_for, WORD_BITS};
+use crate::counts::{check_path, divisor, PathCounts};
 use crate::error::MeasureError;
 use crate::estimator::ProbabilityEstimator;
 use crate::mapped::MappedObservations;
@@ -80,7 +85,7 @@ pub struct StreamingEstimator {
     /// accumulators cover base + delta.
     base: Option<MappedObservations>,
     /// Per-path congested-snapshot counts.
-    congested: Vec<u64>,
+    congested: Vec<usize>,
     /// Registered pairs, normalized, in handle order (parallel to
     /// `pair_good`; the per-push update streams this dense array, not the
     /// map).
@@ -88,14 +93,14 @@ pub struct StreamingEstimator {
     /// Key → handle lookup for the keyed query API and dedup.
     pair_index: BTreeMap<(PathId, PathId), usize>,
     /// Per-registered-pair both-good counts, indexed by handle.
-    pair_good: Vec<u64>,
+    pair_good: Vec<usize>,
     /// Snapshots in which every path was good.
-    all_good: u64,
+    all_good: usize,
     /// Registered exact patterns with their packed snapshot masks.
     pattern_index: BTreeMap<BTreeSet<PathId>, usize>,
     pattern_masks: Vec<Vec<u64>>,
     /// Per-registered-pattern exact-match counts.
-    pattern_matches: Vec<u64>,
+    pattern_matches: Vec<usize>,
 }
 
 impl StreamingEstimator {
@@ -125,11 +130,11 @@ impl StreamingEstimator {
     /// path-level accumulators from its lanes (one popcount per lane and
     /// one all-good sweep).
     pub fn from_observations(observations: PathObservations) -> Self {
-        let congested: Vec<u64> = (0..observations.num_paths())
-            .map(|p| observations.lanes().count_ones(p) as u64)
+        let congested: Vec<usize> = (0..observations.num_paths())
+            .map(|p| observations.lanes().count_ones(p))
             .collect();
-        let all_good = ProbabilityEstimator::from_lanes(observations.lanes().as_view())
-            .all_paths_good_count() as u64;
+        let all_good =
+            ProbabilityEstimator::from_lanes(observations.lanes().as_view()).all_paths_good_count();
         StreamingEstimator {
             congested,
             all_good,
@@ -172,11 +177,6 @@ impl StreamingEstimator {
     /// [`StreamingEstimator::history_binary`] for the full record.
     pub fn observations(&self) -> &PathObservations {
         &self.observations
-    }
-
-    /// Consumes the estimator, returning the (delta) observation store.
-    pub fn into_observations(self) -> PathObservations {
-        self.observations
     }
 
     /// A batch estimator over the same observations, for ad-hoc queries
@@ -245,14 +245,12 @@ impl StreamingEstimator {
         }
         let view = history.view();
         for (p, count) in self.congested.iter_mut().enumerate() {
-            *count = view.lanes().count_ones(p) as u64;
+            *count = view.lanes().count_ones(p);
         }
-        self.all_good = view.all_paths_good_count() as u64;
-        for (&(a, b), count) in self.pairs.iter().zip(&mut self.pair_good) {
-            *count = view.all_good_count(&[a, b])? as u64;
-        }
+        self.all_good = view.all_paths_good_count();
+        self.pair_good = view.pair_good_counts(&self.pairs)?;
         for (pattern, &slot) in &self.pattern_index {
-            self.pattern_matches[slot] = view.pattern_count(pattern)? as u64;
+            self.pattern_matches[slot] = view.pattern_count(pattern)?;
         }
         let absorbed = history.num_snapshots();
         self.base = Some(history);
@@ -274,41 +272,24 @@ impl StreamingEstimator {
         }
     }
 
-    /// The registered pairs, in registration-independent normalized order.
-    pub fn registered_pairs(&self) -> impl Iterator<Item = (PathId, PathId)> + '_ {
-        self.pair_index.keys().copied()
-    }
-
     /// Number of registered pairs.
     pub fn num_registered_pairs(&self) -> usize {
         self.pair_good.len()
     }
 
-    /// Number of registered exact patterns.
-    pub fn num_registered_patterns(&self) -> usize {
-        self.pattern_matches.len()
-    }
-
-    fn check_path(&self, path: PathId) -> Result<(), MeasureError> {
-        if path.index() >= self.num_paths() {
-            return Err(MeasureError::UnknownPath {
-                index: path.index(),
-                num_paths: self.num_paths(),
-            });
-        }
-        Ok(())
-    }
-
     /// Registers the pair `(a, b)` for O(1) both-good queries and returns
     /// its **handle** — a dense index whose accumulator can be read
     /// without any map lookup ([`StreamingEstimator::prob_pair_good_at`]).
-    /// Idempotent; the pair is normalized, so `(a, b)` and `(b, a)` return
-    /// the same handle. If snapshots were already recorded, the
-    /// accumulator is initialised with one catch-up kernel sweep over the
-    /// two lanes (of the base segment and of the delta).
+    /// Handles are issued in registration order, so pairs registered as
+    /// one batch into a fresh estimator hold handles `0..n`, and a
+    /// [`PathCounts::pair_good_counts`] query in that same order reads
+    /// each slot directly. Idempotent; the pair is normalized, so `(a, b)`
+    /// and `(b, a)` return the same handle. If snapshots were already
+    /// recorded, the accumulator is initialised with one catch-up kernel
+    /// sweep over the two lanes (of the base segment and of the delta).
     pub fn register_pair(&mut self, a: PathId, b: PathId) -> Result<usize, MeasureError> {
-        self.check_path(a)?;
-        self.check_path(b)?;
+        check_path(a, self.num_paths())?;
+        check_path(b, self.num_paths())?;
         let key = pair_key(a, b);
         if let Some(&handle) = self.pair_index.get(&key) {
             return Ok(handle);
@@ -316,7 +297,7 @@ impl StreamingEstimator {
         let count = self
             .segments()
             .map(|segment| segment.all_good_count(&[key.0, key.1]))
-            .sum::<Result<usize, _>>()? as u64;
+            .sum::<Result<usize, _>>()?;
         let handle = self.pair_good.len();
         self.pair_index.insert(key, handle);
         self.pairs.push(key);
@@ -347,7 +328,7 @@ impl StreamingEstimator {
     /// exact-state sweep over the lanes.
     pub fn register_pattern(&mut self, pattern: &BTreeSet<PathId>) -> Result<(), MeasureError> {
         for &p in pattern {
-            self.check_path(p)?;
+            check_path(p, self.num_paths())?;
         }
         if self.pattern_index.contains_key(pattern) {
             return Ok(());
@@ -355,7 +336,7 @@ impl StreamingEstimator {
         let count = self
             .segments()
             .map(|segment| segment.pattern_count(pattern))
-            .sum::<Result<usize, _>>()? as u64;
+            .sum::<Result<usize, _>>()?;
         self.pattern_index
             .insert(pattern.clone(), self.pattern_matches.len());
         self.pattern_masks.push(pack_snapshot(
@@ -373,12 +354,12 @@ impl StreamingEstimator {
         self.observations.record_snapshot(congested)?;
         let mut any = false;
         for (count, &c) in self.congested.iter_mut().zip(congested) {
-            *count += c as u64;
+            *count += c as usize;
             any |= c;
         }
-        self.all_good += !any as u64;
+        self.all_good += !any as usize;
         for (&(a, b), count) in self.pairs.iter().zip(&mut self.pair_good) {
-            *count += (!congested[a.index()] && !congested[b.index()]) as u64;
+            *count += (!congested[a.index()] && !congested[b.index()]) as usize;
         }
         if !self.pattern_masks.is_empty() {
             let packed = pack_snapshot(
@@ -386,130 +367,78 @@ impl StreamingEstimator {
                 (0..congested.len()).filter(|&p| congested[p]),
             );
             for (mask, count) in self.pattern_masks.iter().zip(&mut self.pattern_matches) {
-                *count += (*mask == packed) as u64;
+                *count += (*mask == packed) as usize;
             }
         }
         Ok(())
     }
 
-    fn require_snapshots(&self) -> Result<f64, MeasureError> {
-        if self.is_empty() {
-            return Err(MeasureError::NoSnapshots);
-        }
-        Ok(self.num_snapshots() as f64)
-    }
-
-    /// The probability floor used when clamping zero frequencies before
-    /// taking logarithms: `1 / (2 N)` (matches the batch estimator).
-    pub fn probability_floor(&self) -> f64 {
-        1.0 / (2.0 * self.num_snapshots() as f64)
-    }
-
-    /// Empirical `P(Y_i = 1)` — O(1).
-    pub fn prob_path_congested(&self, path: PathId) -> Result<f64, MeasureError> {
-        let n = self.require_snapshots()?;
-        self.check_path(path)?;
-        Ok(self.congested[path.index()] as f64 / n)
-    }
-
-    /// Empirical `P(Y_i = 0)` — O(1).
-    pub fn prob_path_good(&self, path: PathId) -> Result<f64, MeasureError> {
-        Ok(1.0 - self.prob_path_congested(path)?)
-    }
-
-    /// Clamped `log P(Y_i = 0)` — O(1), **bit-exact** with
-    /// [`ProbabilityEstimator::log_prob_paths_good`] on a single path:
-    /// the good count is formed as an integer (`N − congested`) before
-    /// dividing, exactly as the batch popcount path does (`1.0 − c/N`
-    /// can differ in the last ULP).
-    pub fn log_prob_path_good(&self, path: PathId) -> Result<f64, MeasureError> {
-        let n = self.require_snapshots()?;
-        self.check_path(path)?;
-        let good = self.num_snapshots() as u64 - self.congested[path.index()];
-        let p = good as f64 / n;
-        Ok(p.max(self.probability_floor()).ln())
-    }
-
     /// Empirical `P(Y_i = 0, Y_j = 0)` for a **registered** pair — O(1),
     /// no lane scan.
     pub fn prob_pair_good(&self, a: PathId, b: PathId) -> Result<f64, MeasureError> {
-        let n = self.require_snapshots()?;
-        let slot = self
-            .pair_index
-            .get(&pair_key(a, b))
-            .ok_or_else(|| MeasureError::Unregistered(format!("pair ({a:?}, {b:?})")))?;
-        Ok(self.pair_good[*slot] as f64 / n)
+        Ok(self.prob_pairs_good(&[(a, b)])?[0])
     }
 
     /// Empirical `P(Y_i = 0, Y_j = 0)` by pair **handle** — a bounds
-    /// check and an array read, no map lookup. This is the true O(1)
-    /// query path for hot loops that resolved their handles at
-    /// registration time.
+    /// check and an array read, no map lookup.
     pub fn prob_pair_good_at(&self, handle: usize) -> Result<f64, MeasureError> {
-        let n = self.require_snapshots()?;
+        let n = divisor(self)?;
         let count = self
             .pair_good
             .get(handle)
             .ok_or_else(|| MeasureError::Unregistered(format!("pair handle {handle}")))?;
         Ok(*count as f64 / n)
     }
+}
 
-    /// Batch form of [`StreamingEstimator::prob_pair_good`] over
-    /// registered pairs.
-    pub fn prob_pairs_good(&self, pairs: &[(PathId, PathId)]) -> Result<Vec<f64>, MeasureError> {
-        pairs
-            .iter()
-            .map(|&(a, b)| self.prob_pair_good(a, b))
-            .collect()
+/// Every count is an accumulator read; pairs and patterns must have been
+/// registered.
+impl PathCounts for StreamingEstimator {
+    fn num_paths(&self) -> usize {
+        self.observations.num_paths()
     }
 
-    /// Clamped `log P(Y_i = 0, Y_j = 0)` per pair handle (the hot batch
-    /// path of the incremental equation builder: one array read and one
-    /// `ln` per equation).
-    pub fn log_prob_pairs_good_at(&self, handles: &[usize]) -> Result<Vec<f64>, MeasureError> {
-        let n = self.require_snapshots()?;
-        let floor = self.probability_floor();
-        handles
-            .iter()
-            .map(|&handle| {
-                let count = self
-                    .pair_good
-                    .get(handle)
-                    .ok_or_else(|| MeasureError::Unregistered(format!("pair handle {handle}")))?;
-                Ok((*count as f64 / n).max(floor).ln())
-            })
-            .collect()
+    fn num_snapshots(&self) -> usize {
+        StreamingEstimator::num_snapshots(self)
     }
 
-    /// Clamped `log P(Y_i = 0, Y_j = 0)` per registered pair (matches
-    /// [`ProbabilityEstimator::log_prob_pairs_good`]).
-    pub fn log_prob_pairs_good(
-        &self,
-        pairs: &[(PathId, PathId)],
-    ) -> Result<Vec<f64>, MeasureError> {
-        let floor = self.probability_floor();
-        Ok(self
-            .prob_pairs_good(pairs)?
-            .into_iter()
-            .map(|p| p.max(floor).ln())
-            .collect())
+    fn congested_count(&self, path: PathId) -> Result<usize, MeasureError> {
+        check_path(path, self.num_paths())?;
+        Ok(self.congested[path.index()])
     }
 
-    /// Empirical `P(ψ(S) = ∅)` — O(1).
-    pub fn prob_all_paths_good(&self) -> Result<f64, MeasureError> {
-        let n = self.require_snapshots()?;
-        Ok(self.all_good as f64 / n)
+    /// One accumulator read per pair. The `i`-th pair is looked for at
+    /// handle `i` first — where a structure that registered its pairs as
+    /// one batch into a fresh estimator finds it — and only then in the
+    /// pair map.
+    fn pair_good_counts(&self, pairs: &[(PathId, PathId)]) -> Result<Vec<usize>, MeasureError> {
+        let mut counts = Vec::with_capacity(pairs.len());
+        for (i, &pair) in pairs.iter().enumerate() {
+            let handle = if self.pairs.get(i) == Some(&pair) {
+                i
+            } else {
+                *self
+                    .pair_index
+                    .get(&pair_key(pair.0, pair.1))
+                    .ok_or_else(|| {
+                        MeasureError::Unregistered(format!("pair ({:?}, {:?})", pair.0, pair.1))
+                    })?
+            };
+            counts.push(self.pair_good[handle]);
+        }
+        Ok(counts)
     }
 
-    /// Empirical `P(ψ(S) = ψ(A))` for a **registered** pattern — O(1),
-    /// no lane scan.
-    pub fn prob_exactly_congested(&self, pattern: &BTreeSet<PathId>) -> Result<f64, MeasureError> {
-        let n = self.require_snapshots()?;
+    fn all_paths_good_count(&self) -> usize {
+        self.all_good
+    }
+
+    fn pattern_count(&self, pattern: &BTreeSet<PathId>) -> Result<usize, MeasureError> {
         let slot = self
             .pattern_index
             .get(pattern)
             .ok_or_else(|| MeasureError::Unregistered(format!("pattern {pattern:?}")))?;
-        Ok(self.pattern_matches[*slot] as f64 / n)
+        Ok(self.pattern_matches[*slot])
     }
 }
 
@@ -610,10 +539,25 @@ mod tests {
             est.prob_pair_good_at(h12).unwrap(),
             est.prob_pair_good(PathId(1), PathId(2)).unwrap()
         );
+        // Handles follow registration order; a batch query in that order
+        // reads them directly, any other order through the pair map.
+        assert_eq!((h01, h12), (0, 1));
+        let in_order = [(PathId(0), PathId(1)), (PathId(1), PathId(2))];
+        let reversed = [(PathId(2), PathId(1)), (PathId(1), PathId(0))];
         assert_eq!(
-            est.log_prob_pairs_good_at(&[h01, h12]).unwrap(),
-            est.log_prob_pairs_good(&[(PathId(0), PathId(1)), (PathId(1), PathId(2))])
+            est.pair_good_counts(&in_order).unwrap(),
+            est.pair_good_counts(&reversed)
                 .unwrap()
+                .into_iter()
+                .rev()
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(
+            est.prob_pairs_good(&in_order).unwrap(),
+            vec![
+                est.prob_pair_good_at(h01).unwrap(),
+                est.prob_pair_good_at(h12).unwrap()
+            ]
         );
         assert!(matches!(
             est.prob_pair_good_at(99),

@@ -12,7 +12,9 @@
 //!   every query family;
 //! * the [`StreamingEstimator`]'s accumulators must agree bit-exactly
 //!   with the batch estimator at **every prefix** of an interleaved
-//!   push/query sequence.
+//!   push/query sequence, through every [`PathCounts`] method — with
+//!   pairs queried both in registration order (read by handle position)
+//!   and in reverse (read through the pair map).
 //!
 //! All of the above cover the four query families:
 //!
@@ -36,7 +38,7 @@ use std::collections::BTreeSet;
 use netcorr_measure::bitset::simd;
 use netcorr_measure::reference::{ScalarEstimator, ScalarObservations};
 use netcorr_measure::{
-    MappedObservations, PathObservations, ProbabilityEstimator, StreamingEstimator,
+    MappedObservations, PathCounts, PathObservations, ProbabilityEstimator, StreamingEstimator,
 };
 use netcorr_topology::path::PathId;
 use proptest::prelude::*;
@@ -401,6 +403,13 @@ proptest! {
                 streaming.log_prob_pairs_good(registered).unwrap(),
                 batch.log_prob_pairs_good(registered).unwrap()
             );
+            let reversed: Vec<(PathId, PathId)> =
+                registered.iter().rev().map(|&(a, b)| (b, a)).collect();
+            prop_assert_eq!(
+                streaming.pair_good_counts(&reversed).unwrap(),
+                batch.pair_good_counts(&reversed).unwrap()
+            );
+            prop_assert_eq!(streaming.all_paths_good_count(), batch.all_paths_good_count());
             prop_assert_eq!(
                 streaming.prob_all_paths_good().unwrap(),
                 batch.prob_all_paths_good().unwrap()

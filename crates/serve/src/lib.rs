@@ -7,11 +7,10 @@
 //! 1. **ingests** observation snapshots as framed v3 wire-format blocks
 //!    over a socket (TCP or Unix domain), feeding a
 //!    [`netcorr_measure::StreamingEstimator`] at O(1) cost per snapshot;
-//! 2. **re-infers** on demand: the right-hand side refreshes in
-//!    `O(#equations)` through a
-//!    [`netcorr_core::IncrementalEquationBuilder`], and the solve runs
-//!    over a cached [`netcorr_core::InferenceContext`] — reusing the
-//!    equation structure, the independence selection and the dense QR
+//! 2. **re-infers** on demand through one cached
+//!    [`netcorr_core::InferenceContext`]: its right-hand side refreshes in
+//!    `O(#equations)` from the streaming counters, and the solve reuses
+//!    the equation structure, the independence selection and the dense QR
 //!    factorization (or blocked sparse matrix), with CGLS warm-started
 //!    from the previous solution on the sparse plan;
 //! 3. **answers** link-state and probability queries over a small

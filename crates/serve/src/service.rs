@@ -4,13 +4,14 @@
 //! to keep a live congestion estimate over a fixed topology:
 //!
 //! * a [`StreamingEstimator`] fed one snapshot at a time (O(1) counter
-//!   updates per snapshot, no history rescans);
-//! * an [`IncrementalEquationBuilder`] whose equation structure was built
-//!   once and whose right-hand side refreshes in `O(#equations)`;
-//! * a cached [`InferenceContext`] (equation structure + independence
-//!   selection + dense QR factorization or blocked sparse matrix), so a
-//!   re-inference costs one RHS refresh plus one back-substitution
-//!   (dense) or one warm-started CGLS run (sparse);
+//!   updates per snapshot, no history rescans), with the equation
+//!   structure's pairs registered so its counters answer every
+//!   right-hand-side entry;
+//! * one [`InferenceContext`] (equation structure + independence
+//!   selection + dense QR factorization or blocked sparse matrix), built
+//!   once: a re-inference costs one `O(#equations)` refresh of
+//!   [`InferenceContext::rhs`] over the streaming counters plus one
+//!   back-substitution (dense) or one warm-started CGLS run (sparse);
 //! * the previous solution, used to seed the next CGLS run — on live
 //!   streams consecutive refreshes are close, so the warm start converges
 //!   in a fraction of a cold run's iterations.
@@ -42,7 +43,6 @@
 use std::path::{Path, PathBuf};
 
 use netcorr_core::context::InferenceContext;
-use netcorr_core::equations::IncrementalEquationBuilder;
 use netcorr_core::result::{SolverKind, TomographyEstimate};
 use netcorr_core::AlgorithmConfig;
 use netcorr_eval::persist;
@@ -124,7 +124,6 @@ struct HistoryFile {
 /// answer probability queries from the latest estimate.
 pub struct TomographyService {
     context: InferenceContext,
-    builder: IncrementalEquationBuilder,
     estimator: StreamingEstimator,
     /// The solved log-good-probabilities of the previous re-inference,
     /// seeding the next CGLS run on the sparse plan.
@@ -158,16 +157,15 @@ pub struct TomographyService {
 
 impl TomographyService {
     /// Builds the service for a topology instance: inference context
-    /// (structure, selection, factorization), incremental equation
-    /// builder and an empty streaming estimator. All per-topology work
+    /// (structure, selection, factorization) and an empty streaming
+    /// estimator holding the structure's pairs. All per-topology work
     /// happens here; nothing later in the service's life rebuilds it.
     pub fn new(instance: &TopologyInstance, config: &AlgorithmConfig) -> Result<Self, ServeError> {
         let context = InferenceContext::new(instance, config)?;
         let mut estimator = StreamingEstimator::new(instance.num_paths());
-        let builder = IncrementalEquationBuilder::new(instance, &mut estimator, &config.equations)?;
+        estimator.register_pairs(context.structure().pairs())?;
         Ok(TomographyService {
             context,
-            builder,
             estimator,
             last_solution: None,
             estimate: None,
@@ -409,7 +407,7 @@ impl TomographyService {
             let attempt = match self.reinfer_poison.take() {
                 Some(message) => Err(ServeError::Io(message)),
                 None => {
-                    let rhs = self.builder.rhs(&self.estimator)?;
+                    let rhs = self.context.rhs(&self.estimator)?;
                     self.context
                         .reinfer(&rhs, self.last_solution.as_deref())
                         .map_err(ServeError::from)
@@ -493,7 +491,7 @@ impl TomographyService {
             num_paths: self.num_paths,
             num_links: self.context.num_links(),
             num_snapshots: self.estimator.num_snapshots(),
-            num_equations: self.builder.structure().num_equations(),
+            num_equations: self.context.structure().num_equations(),
             reinfers: self.reinfers,
             solver: self.context.solver_kind(),
             inferred: self.estimate.is_some(),

@@ -220,7 +220,7 @@ impl<'a> Simulator<'a> {
 mod tests {
     use super::*;
     use crate::congestion::CongestionModelBuilder;
-    use netcorr_measure::ProbabilityEstimator;
+    use netcorr_measure::{PathCounts, ProbabilityEstimator};
     use netcorr_topology::graph::LinkId;
     use netcorr_topology::path::PathId;
     use netcorr_topology::toy;

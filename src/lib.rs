@@ -84,7 +84,7 @@ pub mod prelude {
         metrics::{absolute_errors, ErrorSummary},
         scenario::{CongestionScenario, CorrelationLevel, ScenarioBuilder},
     };
-    pub use netcorr_measure::{PathObservations, ProbabilityEstimator};
+    pub use netcorr_measure::{PathCounts, PathObservations, ProbabilityEstimator};
     pub use netcorr_sim::{CongestionModel, CongestionModelBuilder, SimulationConfig, Simulator};
     pub use netcorr_topology::{
         correlation::CorrelationPartition,
