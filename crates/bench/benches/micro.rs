@@ -224,7 +224,7 @@ fn estimator_queries(c: &mut Criterion) {
     // heap, then queried through the borrowed view.
     let file =
         std::env::temp_dir().join(format!("netcorr_bench_load_{}.ncobs3", std::process::id()));
-    persist::write_observations_binary(&file, &packed).expect("workload persists");
+    persist::write_observations(&file, &packed).expect("workload persists");
     group.bench_function("load_zero_copy_mmap", |b| {
         b.iter(|| {
             let mapped = persist::map_observations(&file).expect("mapped load");

@@ -209,7 +209,7 @@ fn main() {
         "netcorr_bench_gate_load_{}.ncobs3",
         std::process::id()
     ));
-    persist::write_observations_binary(&file, &packed).expect("workload persists");
+    persist::write_observations(&file, &packed).expect("workload persists");
     let mapped_mean = time_mean(3, 50, || {
         let mapped = persist::map_observations(&file).expect("mapped load");
         assert_eq!(mapped.num_snapshots(), SNAPSHOTS);

@@ -15,6 +15,8 @@
 //!   dense determined systems keep the QR factorization, so each trial is
 //!   one `Qᵀb` sweep plus one back-substitution, and whole batches go
 //!   through the RHS-batched [`netcorr_linalg::QrDecomposition::solve_many`];
+//! * dense under-determined systems keep only the matrix: each trial runs
+//!   a fresh two-phase simplex for the minimum-L1 solution;
 //! * sparse systems keep the blocked CSR matrix, and batches warm-start
 //!   CGLS from the previous right-hand side's solution in fixed-length
 //!   chains ([`WARM_CHAIN`]) so the batched result does not depend on how
@@ -55,8 +57,8 @@ pub const WARM_CHAIN: usize = 8;
 ///
 /// Construction performs all the per-topology work (structure, selection,
 /// factorization); [`InferenceContext::infer`] then costs only the RHS
-/// estimation plus a back-substitution (dense) or CGLS run (sparse) per
-/// trial.
+/// estimation plus a back-substitution (dense determined), a minimum-L1
+/// simplex (dense under-determined) or a CGLS run (sparse) per trial.
 pub struct InferenceContext {
     num_links: usize,
     num_paths: usize,

@@ -1,44 +1,36 @@
-//! Persistence of recorded observations and simulation traces.
+//! Persistence of recorded observations.
 //!
 //! Experiments at production scale are expensive to simulate (or, in a
 //! real deployment, to measure); persisting the [`PathObservations`] of a
 //! trial lets inference be re-run — with different algorithm
-//! configurations, or after a code change — without re-measuring. Two
-//! on-disk representations are supported:
+//! configurations, or after a code change — without re-measuring. There
+//! is one on-disk encoding, the binary lane-word block pinned by
+//! [`netcorr_measure::observation::BINARY_MAGIC`] (`v3`): the raw
+//! little-endian lane words behind a fixed header, loadable into the
+//! packed lanes without per-bit parsing. A daemon history file is the
+//! same block sealed by a trailing generation footer
+//! ([`encode_history`]).
 //!
-//! * the textual, line-oriented hex format pinned by
-//!   [`netcorr_measure::observation::WIRE_FORMAT`] (`v2`) — the
-//!   debuggable variant;
-//! * the binary lane-word dump pinned by
-//!   [`netcorr_measure::observation::BINARY_MAGIC`] (`v3`) — the raw
-//!   little-endian lane words behind a fixed header, loadable into the
-//!   packed lane view without per-bit parsing (PlanetLab-scale replay
-//!   without parse cost).
-//!
-//! [`read_observations`] sniffs the leading bytes, so either format loads
-//! transparently. [`map_observations`] opens a `v3` file through the
+//! [`read_observations`] loads either form (bare or sealed) by copying
+//! the words. [`map_observations`] opens a bare `v3` file through the
 //! zero-copy tier instead — the lane words are memory-mapped and served
 //! in place (see [`netcorr_measure::MappedObservations`]), so a
 //! multi-gigabyte history becomes query-ready without the word copy a
-//! [`read_observations`] load pays. [`write_trace`] /
-//! [`read_trace`] additionally persist a full [`SimulationTrace`] — the
-//! observations *plus* the ground-truth per-snapshot link states (packed
-//! [`BitMatrix`]) — so separability studies can re-run inference against
-//! the truth that generated it.
+//! [`read_observations`] load pays; [`map_observations_prefix`] does the
+//! same for a sealed history's payload.
+//!
+//! Writes are atomic ([`atomic_write`]: stage in the same directory, then
+//! rename) but never fsync'd: a written file survives a killed process,
+//! not a power loss or kernel crash.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use netcorr_measure::observation::{parse_binary_header, BINARY_HEADER_LEN, BINARY_MAGIC};
-use netcorr_measure::{BitMatrix, MappedObservations, PathObservations};
-use netcorr_sim::SimulationTrace;
+use netcorr_measure::observation::{parse_binary_header, BINARY_HEADER_LEN};
+use netcorr_measure::{MappedObservations, PathObservations};
 
 use crate::error::EvalError;
-
-/// Magic bytes opening a persisted [`SimulationTrace`] (`netcorr-trace
-/// v1`): the observation binary block, then the packed link-state matrix.
-pub const TRACE_MAGIC: &[u8; 8] = b"NCTRCv1\n";
 
 /// Builds the [`EvalError::Persist`] for a failure at `path`.
 fn persist_err(path: &Path, cause: impl std::fmt::Display) -> EvalError {
@@ -104,62 +96,34 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), EvalError> {
     commit(&tmp, path)
 }
 
-/// Writes observations to `path` in the textual (`v2`) wire format,
-/// atomically (temp file + rename) and creating parent directories as
-/// needed.
-pub fn write_observations(path: &Path, observations: &PathObservations) -> Result<(), EvalError> {
-    atomic_write(path, observations.to_wire().as_bytes())
-}
-
 /// Writes observations to `path` in the binary (`v3`) wire format,
 /// atomically (temp file + rename) and creating parent directories as
 /// needed.
-pub fn write_observations_binary(
-    path: &Path,
-    observations: &PathObservations,
-) -> Result<(), EvalError> {
+pub fn write_observations(path: &Path, observations: &PathObservations) -> Result<(), EvalError> {
     atomic_write(path, &observations.to_binary())
 }
 
-/// Reads observations previously written by [`write_observations`] or
-/// [`write_observations_binary`], sniffing the format from the leading
-/// bytes.
+/// Reads observations previously written by [`write_observations`], or
+/// the payload of a sealed history file ([`encode_history`]).
 ///
-/// Every failure — the read itself, a corrupt binary block, an invalid
-/// text body — is reported as [`EvalError::Persist`] carrying the file
-/// path and the underlying cause.
+/// Every failure — the read itself, a corrupt or non-`v3` block — is
+/// reported as [`EvalError::Persist`] carrying the file path and the
+/// underlying cause.
 pub fn read_observations(path: &Path) -> Result<PathObservations, EvalError> {
-    let persist = |cause: String| EvalError::Persist {
-        path: path.display().to_string(),
-        cause,
-    };
-    let bytes = fs::read(path).map_err(|e| persist(e.to_string()))?;
-    if bytes.starts_with(BINARY_MAGIC) {
-        // Crash-safe history files are a v3 payload plus a generation
-        // footer; a validated footer locates the payload, anything else
-        // is treated as a bare v3 block.
-        if let Some(footer) = validate_history_bytes(&bytes) {
-            return PathObservations::from_binary(&bytes[..footer.payload_len])
-                .map_err(|e| persist(format!("invalid binary v3 observations: {e}")));
-        }
-        return PathObservations::from_binary(&bytes)
-            .map_err(|e| persist(format!("invalid binary v3 observations: {e}")));
-    }
-    match String::from_utf8(bytes) {
-        Ok(text) => PathObservations::from_wire(&text)
-            .map_err(|e| persist(format!("invalid v2 text observations: {e}"))),
-        Err(e) => Err(persist(format!(
-            "neither binary v3 nor valid UTF-8 text: {e}"
-        ))),
-    }
+    let bytes = fs::read(path).map_err(|e| persist_err(path, e))?;
+    // A validated footer locates the payload; anything else is parsed
+    // as a bare v3 block.
+    let payload_len = validate_history_bytes(&bytes).map_or(bytes.len(), |f| f.payload_len);
+    PathObservations::from_binary(&bytes[..payload_len])
+        .map_err(|e| persist_err(path, format!("invalid binary v3 observations: {e}")))
 }
 
 /// Opens a binary (`v3`) observation file through the zero-copy tier:
 /// the file is memory-mapped (heap fallback off Linux/x86-64), the
 /// header and per-lane zero-tail invariant are validated, and the lane
-/// words are served in place — no copy. Corrupt files
-/// (truncated, dirty tails, bad magic) and text (`v2`) files surface as
-/// [`EvalError::Persist`] carrying the file path, never a panic.
+/// words are served in place — no copy. Corrupt or non-`v3` files
+/// (truncated, dirty tails, bad magic) surface as [`EvalError::Persist`]
+/// carrying the file path, never a panic.
 pub fn map_observations(path: &Path) -> Result<MappedObservations, EvalError> {
     MappedObservations::open(path).map_err(|e| persist_err(path, e))
 }
@@ -406,105 +370,6 @@ pub fn recover_history(path: &Path) -> Result<HistoryRecovery, EvalError> {
     }
 }
 
-/// Writes a full simulation trace — observations plus ground-truth link
-/// states — to `path` (`netcorr-trace v1`):
-///
-/// ```text
-/// NCTRCv1\n
-/// obs_len   u64 LE      length of the embedded v3 observation block
-/// <obs_len bytes>       PathObservations::to_binary
-/// width     u64 LE      links per snapshot
-/// rows      u64 LE      snapshots
-/// <rows × ceil(width/64) u64 LE>   packed link-state rows
-/// ```
-pub fn write_trace(path: &Path, trace: &SimulationTrace) -> Result<(), EvalError> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    let obs = trace.observations.to_binary();
-    let states = &trace.link_states;
-    let mut out = Vec::with_capacity(8 + 8 + obs.len() + 16 + states.words().len() * 8);
-    out.extend_from_slice(TRACE_MAGIC);
-    out.extend_from_slice(&(obs.len() as u64).to_le_bytes());
-    out.extend_from_slice(&obs);
-    out.extend_from_slice(&(states.width() as u64).to_le_bytes());
-    out.extend_from_slice(&(states.num_rows() as u64).to_le_bytes());
-    for &word in states.words() {
-        out.extend_from_slice(&word.to_le_bytes());
-    }
-    atomic_write(path, &out)
-}
-
-/// Reads a trace previously written by [`write_trace`].
-///
-/// Every failure — the read itself, a corrupt header or body, an invalid
-/// embedded observation block — is reported as [`EvalError::Persist`]
-/// carrying the file path and the underlying cause (matching
-/// [`read_observations`]).
-pub fn read_trace(path: &Path) -> Result<SimulationTrace, EvalError> {
-    let bytes = fs::read(path).map_err(|e| persist_err(path, e))?;
-    let corrupt = |reason: &str| persist_err(path, format!("corrupt trace file: {reason}"));
-    if bytes.len() < 16 || &bytes[..8] != TRACE_MAGIC {
-        return Err(corrupt("missing NCTRCv1 header"));
-    }
-    let read_u64 = |offset: usize| -> Result<u64, EvalError> {
-        bytes
-            .get(offset..offset + 8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-            .ok_or_else(|| corrupt("truncated header field"))
-    };
-    let obs_len = usize::try_from(read_u64(8)?).map_err(|_| corrupt("block size overflow"))?;
-    let obs_end = 16usize
-        .checked_add(obs_len)
-        .ok_or_else(|| corrupt("block size overflow"))?;
-    let obs_bytes = bytes
-        .get(16..obs_end)
-        .ok_or_else(|| corrupt("truncated observation block"))?;
-    let observations = PathObservations::from_binary(obs_bytes)
-        .map_err(|e| persist_err(path, format!("invalid embedded observation block: {e}")))?;
-
-    let width = usize::try_from(read_u64(obs_end)?).map_err(|_| corrupt("width overflow"))?;
-    let rows = usize::try_from(read_u64(obs_end + 8)?).map_err(|_| corrupt("rows overflow"))?;
-    let words_per_row = netcorr_measure::bitset::words_for(width);
-    let expected = rows
-        .checked_mul(words_per_row)
-        .and_then(|w| w.checked_mul(8))
-        .ok_or_else(|| corrupt("link-state region overflow"))?;
-    let word_bytes = bytes
-        .get(obs_end + 16..)
-        .ok_or_else(|| corrupt("truncated link-state header"))?;
-    if word_bytes.len() != expected {
-        return Err(corrupt(&format!(
-            "expected {expected} link-state bytes, got {}",
-            word_bytes.len()
-        )));
-    }
-    let words: Vec<u64> = word_bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect();
-    // Validate the zero-tail invariant here so a corrupt file surfaces as
-    // an error instead of a panic inside `BitMatrix::from_words`.
-    let mask = netcorr_measure::bitset::tail_mask(width);
-    for chunk in words.chunks_exact(words_per_row) {
-        if chunk[words_per_row - 1] & !mask != 0 {
-            return Err(corrupt("link-state row has bits beyond the width"));
-        }
-    }
-    let link_states = BitMatrix::from_words(width, rows, words);
-    if link_states.num_rows() != observations.num_snapshots() {
-        return Err(corrupt(&format!(
-            "{} link-state rows for {} snapshots",
-            link_states.num_rows(),
-            observations.num_snapshots()
-        )));
-    }
-    Ok(SimulationTrace {
-        observations,
-        link_states,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,20 +431,19 @@ mod tests {
         let obs = sim.run(300, &mut StdRng::seed_from_u64(9));
 
         let dir = std::env::temp_dir().join("netcorr_eval_persist_binary_test");
-        let text_file = dir.join("observations.ncobs");
-        let binary_file = dir.join("observations.ncobs3");
-        write_observations(&text_file, &obs).unwrap();
-        write_observations_binary(&binary_file, &obs).unwrap();
-        // `read_observations` sniffs either format.
-        assert_eq!(read_observations(&text_file).unwrap(), obs);
-        assert_eq!(read_observations(&binary_file).unwrap(), obs);
-        // The binary file is smaller than the hex dump.
-        let text_len = std::fs::metadata(&text_file).unwrap().len();
-        let binary_len = std::fs::metadata(&binary_file).unwrap().len();
-        assert!(
-            binary_len < text_len,
-            "binary {binary_len} vs text {text_len}"
+        let bare_file = dir.join("observations.ncobs3");
+        let sealed_file = dir.join("history.ncobs3");
+        write_observations(&bare_file, &obs).unwrap();
+        atomic_write(&sealed_file, &encode_history(&obs.to_binary(), 4)).unwrap();
+        // The file is exactly the v3 block: header plus one bit per cell.
+        let bare_len = std::fs::metadata(&bare_file).unwrap().len() as usize;
+        assert_eq!(
+            bare_len,
+            BINARY_HEADER_LEN + obs.num_paths() * 300usize.div_ceil(64) * 8
         );
+        // `read_observations` sniffs a bare block and a sealed history.
+        assert_eq!(read_observations(&bare_file).unwrap(), obs);
+        assert_eq!(read_observations(&sealed_file).unwrap(), obs);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -591,7 +455,7 @@ mod tests {
 
         let dir = std::env::temp_dir().join("netcorr_eval_persist_map_test");
         let file = dir.join("observations.ncobs3");
-        write_observations_binary(&file, &obs).unwrap();
+        write_observations(&file, &obs).unwrap();
         let mapped = map_observations(&file).unwrap();
         assert_eq!(mapped.num_paths(), obs.num_paths());
         assert_eq!(mapped.num_snapshots(), 250);
@@ -627,77 +491,12 @@ mod tests {
         dirty[last] |= 0x80;
         std::fs::write(&file, &dirty).unwrap();
         expect_persist("beyond slot");
-        // The text format cannot be mapped (no magic).
-        std::fs::write(&file, obs.to_wire()).unwrap();
+        // Bytes without the v3 magic cannot be mapped.
+        std::fs::write(&file, b"paths 3\nsnapshots 100\nlane 0000000000000006\n").unwrap();
         expect_persist("magic");
         // Both loaders agree the *same* corrupt file is corrupt.
         std::fs::write(&file, &block[..block.len() - 8]).unwrap();
         assert!(read_observations(&file).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn traces_round_trip_through_disk() {
-        let (inst, model) = fig1a_simulator();
-        let sim = Simulator::new(&inst, &model, SimulationConfig::default()).unwrap();
-        let trace = sim.run_detailed_range(0..200, 11);
-
-        let dir = std::env::temp_dir().join("netcorr_eval_persist_trace_test");
-        let file = dir.join("trial.nctrc");
-        write_trace(&file, &trace).unwrap();
-        let back = read_trace(&file).unwrap();
-        assert_eq!(back.observations, trace.observations);
-        assert_eq!(back.link_states, trace.link_states);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Asserts the error is a `Persist` carrying `bad.nctrc` as the path
-    /// and `fragment` inside the cause.
-    fn assert_trace_persist_error(result: Result<SimulationTrace, EvalError>, fragment: &str) {
-        match result {
-            Err(EvalError::Persist { path, cause }) => {
-                assert!(path.contains("bad.nctrc"), "{path}");
-                assert!(cause.contains(fragment), "{cause}");
-            }
-            Ok(_) => panic!("expected a Persist error, got a trace"),
-            Err(other) => panic!("expected a Persist error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn corrupt_traces_are_rejected_with_the_file_path() {
-        let dir = std::env::temp_dir().join("netcorr_eval_persist_trace_corrupt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("bad.nctrc");
-        std::fs::write(&file, b"junk").unwrap();
-        assert_trace_persist_error(read_trace(&file), "missing NCTRCv1 header");
-        // Valid magic but truncated body.
-        std::fs::write(&file, b"NCTRCv1\n\x10\x00\x00\x00\x00\x00\x00\x00").unwrap();
-        assert_trace_persist_error(read_trace(&file), "truncated observation block");
-        // A full trace with one flipped link-state byte (tail violation).
-        let (inst, model) = fig1a_simulator();
-        let sim = Simulator::new(&inst, &model, SimulationConfig::default()).unwrap();
-        let trace = sim.run_detailed_range(0..10, 3);
-        write_trace(&file, &trace).unwrap();
-        let good_bytes = std::fs::read(&file).unwrap();
-        let mut bytes = good_bytes.clone();
-        let last = bytes.len() - 1;
-        bytes[last] = 0xff;
-        std::fs::write(&file, &bytes).unwrap();
-        assert_trace_persist_error(read_trace(&file), "bits beyond the width");
-        // A corrupted *embedded* observation block also names the file.
-        let mut bytes = good_bytes;
-        bytes[20] ^= 0xff; // inside the NCOBSv3 header of the embedded block
-        std::fs::write(&file, &bytes).unwrap();
-        assert_trace_persist_error(read_trace(&file), "invalid embedded observation block");
-        // A failed read (missing file) carries the path and the I/O cause.
-        match read_trace(&dir.join("missing.nctrc")) {
-            Err(EvalError::Persist { path, cause }) => {
-                assert!(path.contains("missing.nctrc"), "{path}");
-                assert!(!cause.is_empty());
-            }
-            other => panic!("expected a Persist error, got {other:?}"),
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -710,13 +509,13 @@ mod tests {
         let dir = std::env::temp_dir().join("netcorr_eval_persist_atomic_test");
         std::fs::remove_dir_all(&dir).ok();
         let file = dir.join("observations.ncobs3");
-        write_observations_binary(&file, &obs).unwrap();
+        write_observations(&file, &obs).unwrap();
 
         // Simulate a writer that crashes mid-write: the staged temp file
         // exists (in the same directory, so the commit rename would be
         // atomic), but the commit never happens. The target file still
-        // holds the previous complete content — format sniffing never sees
-        // the torn bytes.
+        // holds the previous complete content — a reader never sees the
+        // torn bytes.
         let torn = &obs.to_binary()[..10];
         let staged = stage(&file, torn).unwrap();
         assert!(staged.exists());
@@ -727,7 +526,7 @@ mod tests {
         // A second writer completing normally replaces the target wholly,
         // regardless of the orphaned staging file.
         let other = sim.run(100, &mut StdRng::seed_from_u64(6));
-        write_observations_binary(&file, &other).unwrap();
+        write_observations(&file, &other).unwrap();
         assert_eq!(read_observations(&file).unwrap(), other);
 
         // Committing the stale staged bytes is the crash-free path of the
@@ -735,11 +534,6 @@ mod tests {
         commit(&staged, &file).unwrap();
         assert!(!staged.exists());
         assert!(read_observations(&file).is_err(), "torn bytes now visible");
-
-        // Atomic text writes go through the same staging machinery.
-        let text_file = dir.join("observations.ncobs");
-        write_observations(&text_file, &obs).unwrap();
-        assert_eq!(read_observations(&text_file).unwrap(), obs);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -898,12 +692,12 @@ mod tests {
         let dir = std::env::temp_dir().join("netcorr_eval_persist_corrupt_test");
         let file = dir.join("observations.ncobs");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(&file, "not the wire format").unwrap();
+        std::fs::write(&file, "not the wire format, just a line of text").unwrap();
         // A parse failure names the file and carries the parser's cause.
         match read_observations(&file) {
             Err(EvalError::Persist { path, cause }) => {
                 assert!(path.contains("observations.ncobs"), "{path}");
-                assert!(cause.contains("invalid v2 text observations"), "{cause}");
+                assert!(cause.contains("bad magic"), "{cause}");
             }
             other => panic!("expected a Persist error, got {other:?}"),
         }
@@ -912,15 +706,6 @@ mod tests {
             Err(EvalError::Persist { path, cause }) => {
                 assert!(path.contains("missing.ncobs"), "{path}");
                 assert!(!cause.is_empty());
-            }
-            other => panic!("expected a Persist error, got {other:?}"),
-        }
-        // Invalid UTF-8 that is not binary v3 is reported the same way.
-        let garbled = dir.join("garbled.ncobs");
-        std::fs::write(&garbled, [0x80u8, 0xff, 0x01]).unwrap();
-        match read_observations(&garbled) {
-            Err(EvalError::Persist { cause, .. }) => {
-                assert!(cause.contains("neither binary v3"), "{cause}");
             }
             other => panic!("expected a Persist error, got {other:?}"),
         }

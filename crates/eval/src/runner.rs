@@ -260,8 +260,8 @@ pub fn run_trial(
 ///
 /// Scenarios drawn for different trials of one experiment share the same
 /// visible instance (unless links are hidden), so a shared cache reduces
-/// every trial after the first to RHS assembly plus a back-substitution /
-/// CGLS run. Results are bit-identical to the one-shot algorithms for any
+/// every trial after the first to RHS assembly plus one solve of the
+/// prepared plan. Results are bit-identical to the one-shot algorithms for any
 /// cache-sharing pattern.
 pub fn run_trial_cached(
     scenario: &CongestionScenario,

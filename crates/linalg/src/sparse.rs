@@ -163,7 +163,7 @@ const ROW_BLOCK: usize = 128;
 /// incrementally but costs one pointer chase per row in the CGLS hot loop
 /// (two matvecs per iteration, thousands of iterations). The blocked form
 /// stores every `(column, value)` pair in two flat arrays indexed by a
-/// `row_ptr` offset table, and walks them [`ROW_BLOCK`] rows per step, so
+/// `row_ptr` offset table, and walks them `ROW_BLOCK` rows per step, so
 /// the traversal is a single forward stream over contiguous memory.
 ///
 /// Products accumulate per row in exactly the stored column order, so the

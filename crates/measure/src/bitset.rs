@@ -1,17 +1,15 @@
-//! Bit-packed Boolean storage for observations and link-state traces.
+//! Bit-packed Boolean storage for path observations.
 //!
-//! * [`BitLanes`] — *lane-major* (columnar): one packed `u64` lane per
-//!   path, one bit per snapshot. This is the only layout of path
-//!   observations: every estimator query (marginal, joint, all-good and
-//!   exact-state) is a bitwise sweep over whole lane words, 64 snapshots
-//!   per word. [`BitLanesView`] is its borrowed, zero-copy counterpart.
-//! * [`BitMatrix`] — *row-major*: one packed row per snapshot, one bit per
-//!   link. It backs simulation link-state traces, which are only ever
-//!   read one snapshot at a time.
+//! [`BitLanes`] is *lane-major* (columnar): one packed `u64` lane per
+//! path, one bit per snapshot. It is the only in-memory bit layout: every
+//! estimator query (marginal, joint, all-good and exact-state) is a
+//! bitwise sweep over whole lane words, 64 snapshots per word.
+//! [`BitLanesView`] is its borrowed, zero-copy counterpart over heap,
+//! parsed or memory-mapped words.
 //!
-//! Both structures maintain the invariant that every bit beyond the logical
-//! extent (slots / width) is zero, so popcounts over stored words never
-//! need masking; only queries over *complemented* words mask the tail.
+//! Both maintain the invariant that every bit beyond the recorded slots
+//! is zero, so popcounts over stored words never need masking; only
+//! queries over *complemented* words mask the tail.
 
 use serde::{Deserialize, Serialize};
 
@@ -23,8 +21,8 @@ pub mod simd;
 /// Number of bits per storage word.
 pub const WORD_BITS: usize = u64::BITS as usize;
 
-/// Number of words needed for `bits` bits (at least one, so that rows and
-/// lanes are always addressable even in degenerate zero-width containers).
+/// Number of words needed for `bits` bits (at least one, so that lanes
+/// are always addressable even in degenerate empty containers).
 #[inline]
 pub fn words_for(bits: usize) -> usize {
     bits.div_ceil(WORD_BITS).max(1)
@@ -241,7 +239,8 @@ impl BitLanes {
     /// Appends every slot of `other` after this store's slots, by
     /// word-level copy: a `memcpy` per lane when this store ends on a word
     /// boundary (the shard splitter aligns every boundary but the last),
-    /// otherwise a word-shifted merge ([`splice_lane`]).
+    /// otherwise a word-shifted merge of every source word across two
+    /// destination words.
     ///
     /// # Panics
     ///
@@ -457,150 +456,6 @@ impl<'a> BitLanesView<'a> {
     }
 }
 
-/// Row-major packed bit matrix: an append-only sequence of fixed-width
-/// rows, one word-aligned packed row per append (the simulator's
-/// per-snapshot link states).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BitMatrix {
-    width: usize,
-    words_per_row: usize,
-    num_rows: usize,
-    /// Row-major storage: row `r` occupies
-    /// `words[r * words_per_row .. (r + 1) * words_per_row]`.
-    words: Vec<u64>,
-}
-
-impl BitMatrix {
-    /// Creates an empty matrix whose rows are `width` bits wide.
-    pub fn new(width: usize) -> Self {
-        Self::with_capacity(width, 0)
-    }
-
-    /// Creates an empty matrix with room for `rows` rows pre-allocated.
-    pub fn with_capacity(width: usize, rows: usize) -> Self {
-        let words_per_row = words_for(width);
-        BitMatrix {
-            width,
-            words_per_row,
-            num_rows: 0,
-            words: Vec::with_capacity(words_per_row * rows),
-        }
-    }
-
-    /// Bits per row.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Words per packed row.
-    pub fn words_per_row(&self) -> usize {
-        self.words_per_row
-    }
-
-    /// Number of rows appended so far.
-    pub fn num_rows(&self) -> usize {
-        self.num_rows
-    }
-
-    /// Returns `true` if no rows have been appended.
-    pub fn is_empty(&self) -> bool {
-        self.num_rows == 0
-    }
-
-    /// Appends one row. `row.len()` must equal the matrix width.
-    pub fn push_row(&mut self, row: &[bool]) {
-        assert_eq!(
-            row.len(),
-            self.width,
-            "row width {} does not match matrix width {}",
-            row.len(),
-            self.width
-        );
-        let start = self.words.len();
-        self.words.resize(start + self.words_per_row, 0);
-        for (bit, &set) in row.iter().enumerate() {
-            if set {
-                self.words[start + bit / WORD_BITS] |= 1u64 << (bit % WORD_BITS);
-            }
-        }
-        self.num_rows += 1;
-    }
-
-    /// The packed words of row `row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= num_rows`.
-    pub fn row_words(&self, row: usize) -> &[u64] {
-        assert!(
-            row < self.num_rows,
-            "row {row} out of range ({} rows)",
-            self.num_rows
-        );
-        &self.words[row * self.words_per_row..(row + 1) * self.words_per_row]
-    }
-
-    /// Row `row` unpacked into booleans.
-    pub fn row_bools(&self, row: usize) -> Vec<bool> {
-        let words = self.row_words(row);
-        (0..self.width)
-            .map(|bit| words[bit / WORD_BITS] >> (bit % WORD_BITS) & 1 == 1)
-            .collect()
-    }
-
-    /// Whether bit `col` of row `row` is set.
-    pub fn get(&self, row: usize, col: usize) -> bool {
-        assert!(
-            col < self.width,
-            "column {col} out of range (width {})",
-            self.width
-        );
-        self.row_words(row)[col / WORD_BITS] >> (col % WORD_BITS) & 1 == 1
-    }
-
-    /// Iterates over the packed rows as word slices.
-    pub fn rows(&self) -> impl Iterator<Item = &[u64]> {
-        self.words.chunks_exact(self.words_per_row)
-    }
-
-    /// The flat packed word buffer (`num_rows × words_per_row` words,
-    /// row-major) — the shape the link-state trace is persisted in.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Builds a matrix directly from a packed word buffer
-    /// (`num_rows × words_for(width)` words, row-major).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer length does not match or if any row has bits
-    /// set beyond `width` (the zero-tail invariant).
-    pub fn from_words(width: usize, num_rows: usize, words: Vec<u64>) -> Self {
-        let words_per_row = words_for(width);
-        assert_eq!(
-            words.len(),
-            num_rows * words_per_row,
-            "expected {num_rows} rows x {words_per_row} words, got {} words",
-            words.len()
-        );
-        let mask = tail_mask(width);
-        for (row, chunk) in words.chunks_exact(words_per_row).enumerate() {
-            assert_eq!(
-                chunk[words_per_row - 1] & !mask,
-                0,
-                "row {row} has bits set beyond width {width}"
-            );
-        }
-        BitMatrix {
-            width,
-            words_per_row,
-            num_rows,
-            words,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,30 +516,14 @@ mod tests {
     }
 
     #[test]
-    fn matrix_packs_rows() {
-        let mut m = BitMatrix::new(70);
-        assert!(m.is_empty());
-        let row: Vec<bool> = (0..70).map(|i| i % 9 == 0).collect();
-        m.push_row(&row);
-        m.push_row(&[false; 70]);
-        assert_eq!(m.num_rows(), 2);
-        assert_eq!(m.words_per_row(), 2);
-        assert_eq!(m.row_bools(0), row);
-        assert!(m.get(0, 0) && m.get(0, 63) && !m.get(0, 64));
-        assert!(m.row_words(1).iter().all(|&w| w == 0));
-        assert_eq!(m.rows().count(), 2);
-    }
-
-    #[test]
     fn zero_width_containers_are_well_formed() {
-        let mut m = BitMatrix::new(0);
-        m.push_row(&[]);
-        m.push_row(&[]);
-        assert_eq!(m.num_rows(), 2);
-        assert_eq!(m.row_bools(1), Vec::<bool>::new());
         let mut lanes = BitLanes::new(0);
         lanes.push_slot(&[]);
-        assert_eq!(lanes.num_slots(), 1);
+        lanes.push_slot(&[]);
+        assert_eq!(lanes.num_slots(), 2);
+        let view = lanes.as_view();
+        assert_eq!(view.num_lanes(), 0);
+        assert_eq!(view.to_owned_lanes(), lanes);
     }
 
     #[test]
@@ -762,23 +601,6 @@ mod tests {
     #[should_panic(expected = "beyond slot")]
     fn lane_words_with_tail_bits_are_rejected() {
         BitLanes::from_lane_words(1, 3, &[0b1111]);
-    }
-
-    #[test]
-    fn matrix_raw_words_round_trip() {
-        let mut m = BitMatrix::new(70);
-        for r in 0..9 {
-            let row: Vec<bool> = (0..70).map(|c| (r * c) % 4 == 1).collect();
-            m.push_row(&row);
-        }
-        let rebuilt = BitMatrix::from_words(70, 9, m.words().to_vec());
-        assert_eq!(rebuilt, m);
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond width")]
-    fn matrix_words_with_tail_bits_are_rejected() {
-        BitMatrix::from_words(3, 1, vec![0b11111]);
     }
 
     #[test]

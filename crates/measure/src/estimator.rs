@@ -172,8 +172,8 @@ impl<'a> ProbabilityEstimator<'a> {
     /// Serializes these lanes followed by `delta` as one v3 binary block —
     /// the full-history serialization of a streaming estimator whose base
     /// segment is this view. Off a word boundary, the delta words are
-    /// shifted into the base lanes' tail words ([`splice_lane`], the same
-    /// merge as [`PathObservations::concat`]).
+    /// shifted into the base lanes' tail words (the same merge as
+    /// [`PathObservations::concat`]).
     pub fn merged_binary(&self, delta: &PathObservations) -> Result<Vec<u8>, MeasureError> {
         if delta.num_paths() != self.num_paths() {
             return Err(MeasureError::WrongSnapshotWidth {

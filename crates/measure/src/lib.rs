@@ -37,7 +37,7 @@
 //!   popcount kernels (4 words/instruction), and a 4-wide unrolled
 //!   portable fallback, selected per call by runtime feature detection
 //!   and all bit-exact against each other and the scalar reference.
-//! * [`reference`] — the scalar (one-`bool`-per-cell) implementation kept
+//! * [`mod@reference`] — the scalar (one-`bool`-per-cell) implementation kept
 //!   as the executable specification; the differential property tests
 //!   assert bit-exact agreement between it and the packed estimator.
 //!
@@ -62,7 +62,7 @@ pub mod observation;
 pub mod reference;
 pub mod streaming;
 
-pub use bitset::{BitLanes, BitLanesView, BitMatrix};
+pub use bitset::{BitLanes, BitLanesView};
 pub use counts::PathCounts;
 pub use error::MeasureError;
 pub use estimator::ProbabilityEstimator;

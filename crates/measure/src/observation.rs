@@ -1,4 +1,6 @@
-//! Per-snapshot path observations, stored bit-packed.
+//! Per-snapshot path observations, stored bit-packed, and their one
+//! on-disk encoding: the v3 binary block ([`BINARY_MAGIC`], a fixed
+//! header, then the raw lane words).
 
 use serde::{Deserialize, Serialize};
 
@@ -6,9 +8,6 @@ use netcorr_topology::path::PathId;
 
 use crate::bitset::{BitLanes, WORD_BITS};
 use crate::error::MeasureError;
-
-/// Version tag of the [`PathObservations`] textual (debug) wire format.
-pub const WIRE_FORMAT: &str = "netcorr-path-observations v2";
 
 /// Magic bytes opening the binary wire format
 /// (`netcorr-path-observations v3`).
@@ -167,133 +166,6 @@ impl PathObservations {
         &self.lanes
     }
 
-    /// Serializes the observations into the versioned, line-oriented wire
-    /// format (see [`WIRE_FORMAT`]):
-    ///
-    /// ```text
-    /// netcorr-path-observations v2
-    /// paths <num_paths>
-    /// snapshots <num_snapshots>
-    /// lane <hex words of path 0, least-significant word first>
-    /// lane <hex words of path 1>
-    /// ...
-    /// ```
-    ///
-    /// Each lane line carries `ceil(snapshots / 64)` words of 16 lowercase
-    /// hex digits each (no separator); an empty container emits `lane -`
-    /// placeholders so the format stays line-parseable.
-    pub fn to_wire(&self) -> String {
-        let used = self.num_snapshots().div_ceil(64);
-        let mut out = String::with_capacity(64 + self.num_paths() * (6 + 16 * used));
-        out.push_str(WIRE_FORMAT);
-        out.push('\n');
-        out.push_str(&format!("paths {}\n", self.num_paths()));
-        out.push_str(&format!("snapshots {}\n", self.num_snapshots()));
-        for path in 0..self.num_paths() {
-            out.push_str("lane ");
-            if used == 0 {
-                out.push('-');
-            } else {
-                for &word in &self.lanes.lane(path)[..used] {
-                    out.push_str(&format!("{word:016x}"));
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses the wire format produced by [`PathObservations::to_wire`].
-    pub fn from_wire(text: &str) -> Result<Self, MeasureError> {
-        let mut lines = text.lines();
-        let header = lines.next().unwrap_or_default();
-        if header != WIRE_FORMAT {
-            return Err(MeasureError::Wire(format!(
-                "unsupported header {header:?} (expected {WIRE_FORMAT:?})"
-            )));
-        }
-        let field = |line: Option<&str>, key: &str| -> Result<usize, MeasureError> {
-            let line = line.ok_or_else(|| MeasureError::Wire(format!("missing `{key}` line")))?;
-            let value = line
-                .strip_prefix(key)
-                .and_then(|v| v.strip_prefix(' '))
-                .ok_or_else(|| MeasureError::Wire(format!("expected `{key} <n>`, got {line:?}")))?;
-            value
-                .parse()
-                .map_err(|_| MeasureError::Wire(format!("invalid `{key}` value {value:?}")))
-        };
-        let num_paths = field(lines.next(), "paths")?;
-        let num_snapshots = field(lines.next(), "snapshots")?;
-        let used = num_snapshots.div_ceil(64);
-
-        let mut all_lanes: Vec<Vec<u64>> = Vec::with_capacity(num_paths);
-        for path in 0..num_paths {
-            let line = lines
-                .next()
-                .ok_or_else(|| MeasureError::Wire(format!("missing lane line for path {path}")))?;
-            let hex = line.strip_prefix("lane ").ok_or_else(|| {
-                MeasureError::Wire(format!("expected `lane <hex>`, got {line:?}"))
-            })?;
-            let mut words = Vec::with_capacity(used);
-            if hex != "-" {
-                if hex.len() != 16 * used {
-                    return Err(MeasureError::Wire(format!(
-                        "lane {path} has {} hex digits, expected {}",
-                        hex.len(),
-                        16 * used
-                    )));
-                }
-                for chunk in 0..used {
-                    let digits = &hex[chunk * 16..(chunk + 1) * 16];
-                    let word = u64::from_str_radix(digits, 16).map_err(|_| {
-                        MeasureError::Wire(format!("invalid hex word {digits:?} in lane {path}"))
-                    })?;
-                    words.push(word);
-                }
-            } else if used != 0 {
-                return Err(MeasureError::Wire(format!(
-                    "lane {path} is empty but {num_snapshots} snapshots are declared"
-                )));
-            }
-            if let Some(&last) = words.last() {
-                if last & !crate::bitset::tail_mask(num_snapshots) != 0 {
-                    return Err(MeasureError::Wire(format!(
-                        "lane {path} has bits set beyond snapshot {num_snapshots}"
-                    )));
-                }
-            }
-            all_lanes.push(words);
-        }
-        if let Some(extra) = lines.find(|l| !l.trim().is_empty()) {
-            return Err(MeasureError::Wire(format!(
-                "unexpected trailing line {extra:?}"
-            )));
-        }
-
-        let words: Vec<u64> = all_lanes.into_iter().flatten().collect();
-        Self::from_lane_word_data(num_paths, num_snapshots, &words)
-    }
-
-    /// Builds a container from lane words (`num_paths` consecutive groups
-    /// of `⌈num_snapshots/64⌉` words), validated and copied word by word.
-    fn from_lane_word_data(
-        num_paths: usize,
-        num_snapshots: usize,
-        words: &[u64],
-    ) -> Result<Self, MeasureError> {
-        if num_snapshots == 0 {
-            if !words.is_empty() {
-                return Err(MeasureError::Wire(format!(
-                    "{} lane words for an empty container",
-                    words.len()
-                )));
-            }
-            return Ok(PathObservations::new(num_paths));
-        }
-        let lanes = BitLanes::try_from_lane_words(num_paths, num_snapshots, words)?;
-        Ok(Self::from_lanes(lanes))
-    }
-
     /// Serializes the observations into the binary wire format
     /// (`netcorr-path-observations v3`): a fixed 24-byte header —
     /// [`BINARY_MAGIC`], then `num_paths` and `num_snapshots` as
@@ -303,9 +175,7 @@ impl PathObservations {
     /// The payload is exactly the in-memory lane layout, so loading needs
     /// no per-bit parsing (and the format is mmap-friendly: the word
     /// region can be mapped and handed to
-    /// [`BitLanes::from_lane_words`] directly). The textual
-    /// [`PathObservations::to_wire`] format stays as the debuggable
-    /// variant.
+    /// [`BitLanes::from_lane_words`] directly).
     pub fn to_binary(&self) -> Vec<u8> {
         let used = self.num_snapshots().div_ceil(WORD_BITS);
         let mut out = binary_header(self.num_paths(), self.num_snapshots());
@@ -322,11 +192,15 @@ impl PathObservations {
     /// straight into the packed lanes, with no per-bit work.
     pub fn from_binary(bytes: &[u8]) -> Result<Self, MeasureError> {
         let (num_paths, num_snapshots) = parse_binary_header(bytes)?;
+        if num_snapshots == 0 {
+            return Ok(PathObservations::new(num_paths));
+        }
         let words: Vec<u64> = bytes[BINARY_HEADER_LEN..]
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        Self::from_lane_word_data(num_paths, num_snapshots, &words)
+        let lanes = BitLanes::try_from_lane_words(num_paths, num_snapshots, &words)?;
+        Ok(Self::from_lanes(lanes))
     }
 }
 
@@ -542,30 +416,36 @@ mod tests {
     #[test]
     fn wire_round_trip() {
         let obs = sample_observations();
-        let wire = obs.to_wire();
-        let back = PathObservations::from_wire(&wire).unwrap();
+        let back = PathObservations::from_binary(&obs.to_binary()).unwrap();
         assert_eq!(obs, back);
-        // Empty containers round-trip too.
+        // Empty containers round-trip too, keeping their path count.
         let empty = PathObservations::new(5);
-        assert_eq!(
-            PathObservations::from_wire(&empty.to_wire()).unwrap(),
-            empty
-        );
+        let back = PathObservations::from_binary(&empty.to_binary()).unwrap();
+        assert_eq!(back, empty);
+        assert_eq!(back.num_paths(), 5);
     }
 
     #[test]
     fn wire_rejects_malformed_input() {
-        assert!(PathObservations::from_wire("").is_err());
-        assert!(PathObservations::from_wire("garbage").is_err());
-        let obs = sample_observations();
-        let wire = obs.to_wire();
-        // Corrupt the header.
-        assert!(PathObservations::from_wire(&wire.replace("v2", "v9")).is_err());
-        // Drop a lane line.
-        let truncated: Vec<&str> = wire.lines().take(4).collect();
-        assert!(PathObservations::from_wire(&truncated.join("\n")).is_err());
-        // Set a bit beyond the declared snapshot count.
-        let corrupted = wire.replace("lane 0000000000000006", "lane 0000000000000016");
-        assert!(PathObservations::from_wire(&corrupted).is_err());
+        // `tests/wire_format.rs` covers short input, a foreign magic, a
+        // truncated lane region and dirty tails; these are the header
+        // cases it leaves out.
+        let wire = sample_observations().to_binary();
+        // Another format version.
+        let mut other_version = wire.clone();
+        other_version[6] = b'9';
+        assert!(PathObservations::from_binary(&other_version).is_err());
+        // Trailing bytes past the declared lane region, including lane
+        // words for a container that declares no snapshots.
+        let mut padded = wire;
+        padded.extend_from_slice(&[0; 8]);
+        assert!(PathObservations::from_binary(&padded).is_err());
+        let mut empty = binary_header(3, 0);
+        empty.extend_from_slice(&[0; 8]);
+        assert!(PathObservations::from_binary(&empty).is_err());
+        // Counts whose lane region overflows.
+        let mut huge = BINARY_MAGIC.to_vec();
+        huge.extend_from_slice(&[0xff; 16]);
+        assert!(PathObservations::from_binary(&huge).is_err());
     }
 }

@@ -43,10 +43,11 @@
 //! the same lane counts a batch estimator uses, so the counters —
 //! and therefore every probability — are bit-identical to an estimator
 //! that streamed those snapshots one by one. New snapshots accumulate in
-//! the owned **delta** store on top;
-//! [`StreamingEstimator::history_binary`] re-serializes base ++ delta as
-//! one v3 block for the next persist/restart cycle. This is how the
-//! `netcorr-serve` daemon reloads weeks of history in microseconds.
+//! the owned **delta** store on top, and
+//! [`ProbabilityEstimator::merged_binary`] over the base's view
+//! re-serializes base ++ delta as one v3 block for the next
+//! persist/restart cycle. This is how the `netcorr-serve` daemon reloads
+//! weeks of history in microseconds.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -173,8 +174,9 @@ impl StreamingEstimator {
 
     /// The underlying bit-packed observation store. With a history
     /// segment attached this is the **delta only** — snapshots pushed
-    /// since [`StreamingEstimator::attach_history`]; use
-    /// [`StreamingEstimator::history_binary`] for the full record.
+    /// since [`StreamingEstimator::attach_history`]; merge it onto
+    /// [`StreamingEstimator::base`] with
+    /// [`ProbabilityEstimator::merged_binary`] for the full record.
     pub fn observations(&self) -> &PathObservations {
         &self.observations
     }
@@ -255,21 +257,6 @@ impl StreamingEstimator {
         let absorbed = history.num_snapshots();
         self.base = Some(history);
         Ok(absorbed)
-    }
-
-    /// Serializes the **full** observation history — attached base
-    /// segment followed by the owned delta — as one v3 binary block,
-    /// suitable for atomic persistence and a later
-    /// [`StreamingEstimator::attach_history`] on restart. Without a base
-    /// segment this is simply the owned store's serialization.
-    pub fn history_binary(&self) -> Vec<u8> {
-        match &self.base {
-            Some(base) => base
-                .view()
-                .merged_binary(&self.observations)
-                .expect("base and delta share the path count by construction"),
-            None => self.observations.to_binary(),
-        }
     }
 
     /// Number of registered pairs.
@@ -683,7 +670,11 @@ mod tests {
             );
             // The serialized full history is byte-identical to the
             // uninterrupted store's serialization.
-            assert_eq!(both.1.history_binary(), live.observations().to_binary());
+            let merged = both.1.base().unwrap().view();
+            assert_eq!(
+                merged.merged_binary(both.1.observations()).unwrap(),
+                live.observations().to_binary()
+            );
             std::fs::remove_file(&path).unwrap();
         }
     }
@@ -709,7 +700,9 @@ mod tests {
         for s in 30..60 {
             mid.push_snapshot(&wide_snapshot(paths, s)).unwrap();
         }
-        std::fs::write(&path, mid.history_binary()).unwrap();
+        let merged = mid.base().unwrap().view();
+        let payload = merged.merged_binary(mid.observations()).unwrap();
+        std::fs::write(&path, payload).unwrap();
         drop(mid);
         let mut last = StreamingEstimator::new(paths);
         last.attach_history(MappedObservations::open(&path).unwrap())
@@ -717,7 +710,11 @@ mod tests {
         for s in 60..90 {
             last.push_snapshot(&wide_snapshot(paths, s)).unwrap();
         }
-        assert_eq!(last.history_binary(), live.observations().to_binary());
+        let merged = last.base().unwrap().view();
+        assert_eq!(
+            merged.merged_binary(last.observations()).unwrap(),
+            live.observations().to_binary()
+        );
         assert_eq!(
             last.prob_all_paths_good().unwrap(),
             live.prob_all_paths_good().unwrap()

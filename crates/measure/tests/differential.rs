@@ -438,7 +438,7 @@ proptest! {
     ) {
         let cells = cells(density, &pool);
         let (packed, _) = build_both(paths, snapshots, &cells);
-        let back = PathObservations::from_wire(&packed.to_wire()).unwrap();
+        let back = PathObservations::from_binary(&packed.to_binary()).unwrap();
         prop_assert_eq!(&back, &packed);
         // The round-tripped store answers queries identically.
         let a = ProbabilityEstimator::new(&packed).unwrap();

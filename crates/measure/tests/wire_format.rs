@@ -1,71 +1,59 @@
-//! Pins the `PathObservations` wire format.
+//! Pins the `PathObservations` wire format (`netcorr-path-observations
+//! v3`, the one on-disk encoding).
 //!
 //! The exact byte-for-byte representation is asserted here so that any
 //! accidental format change fails loudly: observations persisted by one
 //! build must stay readable by the next.
 
-use netcorr_measure::observation::{BINARY_MAGIC, WIRE_FORMAT};
+use netcorr_measure::observation::{BINARY_HEADER_LEN, BINARY_MAGIC};
 use netcorr_measure::PathObservations;
 
-#[test]
-fn wire_format_is_pinned() {
-    // 3 paths × 4 snapshots; path 0 congested in snapshots 1 and 2
-    // (bits 0b0110 = 0x6), path 1 in snapshot 2 (0b0100 = 0x4), path 2
-    // never.
-    let mut obs = PathObservations::new(3);
-    obs.record_snapshot(&[false, false, false]).unwrap();
-    obs.record_snapshot(&[true, false, false]).unwrap();
-    obs.record_snapshot(&[true, true, false]).unwrap();
-    obs.record_snapshot(&[false, false, false]).unwrap();
-
-    let expected = "netcorr-path-observations v2\n\
-                    paths 3\n\
-                    snapshots 4\n\
-                    lane 0000000000000006\n\
-                    lane 0000000000000004\n\
-                    lane 0000000000000000\n";
-    assert_eq!(obs.to_wire(), expected);
-    assert_eq!(PathObservations::from_wire(expected).unwrap(), obs);
+/// A v3 header followed by `words` as little-endian lane words.
+fn v3_bytes(paths: u64, snapshots: u64, words: &[u64]) -> Vec<u8> {
+    let mut bytes = BINARY_MAGIC.to_vec();
+    bytes.extend_from_slice(&paths.to_le_bytes());
+    bytes.extend_from_slice(&snapshots.to_le_bytes());
+    for word in words {
+        bytes.extend_from_slice(&word.to_le_bytes());
+    }
+    bytes
 }
 
 #[test]
 fn wire_format_spans_multiple_words() {
     // 70 snapshots forces a second 64-bit word per lane; only snapshots 0
-    // and 69 are congested on the single path.
+    // and 69 are congested on the single path (word 0 = bit 0, word 1 =
+    // bit 5).
     let mut obs = PathObservations::new(1);
     for s in 0..70 {
         obs.record_snapshot(&[s == 0 || s == 69]).unwrap();
     }
-    let expected = "netcorr-path-observations v2\n\
-                    paths 1\n\
-                    snapshots 70\n\
-                    lane 00000000000000010000000000000020\n";
-    assert_eq!(obs.to_wire(), expected);
-    assert_eq!(PathObservations::from_wire(expected).unwrap(), obs);
+    let expected = v3_bytes(1, 70, &[0x1, 0x20]);
+    assert_eq!(obs.to_binary(), expected);
+    assert_eq!(PathObservations::from_binary(&expected).unwrap(), obs);
 }
 
 #[test]
 fn empty_container_wire_format() {
+    // No snapshots: the header alone, no lane words.
     let obs = PathObservations::new(2);
-    let expected = "netcorr-path-observations v2\n\
-                    paths 2\n\
-                    snapshots 0\n\
-                    lane -\n\
-                    lane -\n";
-    assert_eq!(obs.to_wire(), expected);
-    assert_eq!(PathObservations::from_wire(expected).unwrap(), obs);
+    let expected = v3_bytes(2, 0, &[]);
+    assert_eq!(expected.len(), BINARY_HEADER_LEN);
+    assert_eq!(obs.to_binary(), expected);
+    assert_eq!(PathObservations::from_binary(&expected).unwrap(), obs);
 }
 
 #[test]
 fn header_names_the_version() {
-    assert_eq!(WIRE_FORMAT, "netcorr-path-observations v2");
     assert_eq!(BINARY_MAGIC, b"NCOBSv3\n");
+    assert_eq!(BINARY_HEADER_LEN, 24);
 }
 
 #[test]
 fn binary_format_is_pinned() {
-    // Same fixture as `wire_format_is_pinned`: 3 paths × 4 snapshots with
-    // lane words 0x6, 0x4, 0x0. Header: magic, paths=3 LE, snapshots=4 LE.
+    // 3 paths × 4 snapshots; path 0 congested in snapshots 1 and 2
+    // (lane word 0b0110 = 0x6), path 1 in snapshot 2 (0x4), path 2 never.
+    // Header: magic, paths=3 LE, snapshots=4 LE.
     let mut obs = PathObservations::new(3);
     obs.record_snapshot(&[false, false, false]).unwrap();
     obs.record_snapshot(&[true, false, false]).unwrap();
@@ -81,27 +69,6 @@ fn binary_format_is_pinned() {
     expected.extend_from_slice(&0u64.to_le_bytes());
     assert_eq!(obs.to_binary(), expected);
     assert_eq!(PathObservations::from_binary(&expected).unwrap(), obs);
-}
-
-#[test]
-fn both_formats_round_trip_the_same_observations() {
-    // 70 snapshots exercises the multi-word lane path in both formats.
-    let mut obs = PathObservations::new(5);
-    for s in 0..70 {
-        let row: Vec<bool> = (0..5).map(|p| (s * 5 + p * 3) % 7 == 0).collect();
-        obs.record_snapshot(&row).unwrap();
-    }
-    let text = PathObservations::from_wire(&obs.to_wire()).unwrap();
-    let binary = PathObservations::from_binary(&obs.to_binary()).unwrap();
-    assert_eq!(text, obs);
-    assert_eq!(binary, obs);
-    assert_eq!(text, binary);
-    // The empty container round-trips in binary too.
-    let empty = PathObservations::new(2);
-    assert_eq!(
-        PathObservations::from_binary(&empty.to_binary()).unwrap(),
-        empty
-    );
 }
 
 #[test]

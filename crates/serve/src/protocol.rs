@@ -82,7 +82,8 @@ pub enum Request {
     State {
         /// Link index.
         link: usize,
-        /// Decision threshold (defaults to [`DEFAULT_STATE_THRESHOLD`]).
+        /// Decision threshold, a number in `[0, 1]` (defaults to
+        /// [`DEFAULT_STATE_THRESHOLD`]).
         threshold: Option<f64>,
     },
     /// `SHUTDOWN` — stop accepting connections and exit gracefully.
@@ -117,7 +118,16 @@ impl Request {
                 let link = parse_field::<usize>(words.next(), "STATE", "link")?;
                 let threshold = match words.next() {
                     None => None,
-                    some => Some(parse_field::<f64>(some, "STATE", "threshold")?),
+                    Some(word) => {
+                        let threshold = parse_field::<f64>(Some(word), "STATE", "threshold")?;
+                        // `contains` is false for NaN; infinities fall outside.
+                        if !(0.0..=1.0).contains(&threshold) {
+                            return Err(ServeError::Protocol(format!(
+                                "invalid threshold '{word}' for STATE (expected a number in [0, 1])"
+                            )));
+                        }
+                        Some(threshold)
+                    }
                 };
                 Request::State { link, threshold }
             }
@@ -326,6 +336,16 @@ mod tests {
                 threshold: Some(0.25)
             }
         );
+        // Both ends of the probability range are valid thresholds.
+        for (line, threshold) in [("STATE 1 0", 0.0), ("STATE 1 1", 1.0)] {
+            assert_eq!(
+                Request::parse(line).unwrap(),
+                Request::State {
+                    link: 1,
+                    threshold: Some(threshold)
+                }
+            );
+        }
         assert_eq!(Request::parse("SHUTDOWN").unwrap(), Request::Shutdown);
         // Malformed lines are protocol errors, with useful messages.
         for bad in [
@@ -337,6 +357,11 @@ mod tests {
             "PROB x",
             "STATE",
             "STATE 1 hot",
+            "STATE 1 NaN",
+            "STATE 1 inf",
+            "STATE 1 -inf",
+            "STATE 1 -0.1",
+            "STATE 1 1.5",
             "PING extra",
         ] {
             assert!(
@@ -422,6 +447,12 @@ mod tests {
         let mut junk: &[u8] = b"JUNKJUNKJUNKJUNK";
         let reply = execute(&mut service, "OBS 16", &mut junk);
         assert!(reply.text.contains("invalid observation block"));
+        // A threshold that is not a number in [0, 1].
+        for line in ["STATE 0 NaN", "STATE 0 inf", "STATE 0 2"] {
+            let reply = execute(&mut service, line, &mut empty);
+            assert!(reply.text.starts_with("ERR "), "got {}", reply.text);
+            assert!(reply.text.contains("threshold"), "got {}", reply.text);
+        }
         // None of those took the service down.
         assert_eq!(execute(&mut service, "PING", &mut empty).text, "OK pong");
     }

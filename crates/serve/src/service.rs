@@ -8,10 +8,14 @@
 //!   structure's pairs registered so its counters answer every
 //!   right-hand-side entry;
 //! * one [`InferenceContext`] (equation structure + independence
-//!   selection + dense QR factorization or blocked sparse matrix), built
-//!   once: a re-inference costs one `O(#equations)` refresh of
-//!   [`InferenceContext::rhs`] over the streaming counters plus one
-//!   back-substitution (dense) or one warm-started CGLS run (sparse);
+//!   selection + prepared solve plan), built once: a re-inference costs
+//!   one `O(#equations)` refresh of [`InferenceContext::rhs`] over the
+//!   streaming counters plus one solve of the plan. On a determined
+//!   dense system that solve is a back-substitution through the cached
+//!   QR factorization; on an under-determined dense system (`DenseL1`,
+//!   which the smoke PlanetLab topology runs by default) it is a fresh
+//!   two-phase simplex for the minimum-L1 solution; on the sparse plan
+//!   it is one warm-started CGLS run;
 //! * the previous solution, used to seed the next CGLS run — on live
 //!   streams consecutive refreshes are close, so the warm start converges
 //!   in a fraction of a cold run's iterations.
@@ -28,7 +32,9 @@
 //! transactional (rotate → write payload + generation/checksum footer →
 //! only then mutate memory and ack), and startup recovers a file torn
 //! by a crash mid-write back to the last fully-acked generation from
-//! the rotated `.prev` copy. The surviving payload is memory-mapped
+//! the rotated `.prev` copy. Writes are atomic (staged, then renamed)
+//! but never fsync'd, so an acked ingest survives a killed process, not
+//! a power loss or kernel crash. The surviving payload is memory-mapped
 //! (zero-copy, see [`netcorr_measure::MappedObservations`]) and
 //! attached to the streaming estimator as its base segment — a
 //! restarted daemon resumes with accumulators bit-identical to a run
@@ -68,7 +74,7 @@ pub struct HistoryStatus {
     /// Size of the persisted file in bytes (payload + footer).
     pub bytes: usize,
     /// Generation counter of the persisted file: incremented by every
-    /// durable ingest, 0 for a fresh or legacy (footer-less) file.
+    /// persisted ingest, 0 for a fresh or legacy (footer-less) file.
     pub generation: u64,
     /// Whether startup had to *recover* the history — a torn or missing
     /// current file was replaced by the rotated previous generation (or
@@ -113,7 +119,7 @@ struct HistoryFile {
     bytes: usize,
     /// Snapshots in the file as of the last persist.
     snapshots: usize,
-    /// Generation of the last durable write (0 = fresh/legacy).
+    /// Generation of the last history write (0 = fresh/legacy).
     generation: u64,
     /// Whether startup recovered from a torn write (see
     /// [`netcorr_eval::persist::recover_history`]).
@@ -209,8 +215,9 @@ impl TomographyService {
     /// ingests.
     ///
     /// Every subsequent successful ingest rotates the current file to
-    /// `<path>.prev` and durably writes the next generation (payload +
-    /// footer) before the ingest is acknowledged.
+    /// `<path>.prev` and atomically writes the next generation (payload +
+    /// footer) before the ingest is acknowledged. Nothing is fsync'd: the
+    /// acked history survives a killed process, not a power loss.
     ///
     /// Must be called before any snapshot is ingested. Returns the
     /// number of history snapshots reloaded (0 for a fresh file).
@@ -260,7 +267,7 @@ impl TomographyService {
         }
     }
 
-    /// Durably persists the history *as it will be after* `block` is
+    /// Atomically persists the history *as it will be after* `block` is
     /// appended, before the in-memory estimator is touched: the
     /// prospective payload (attached base + owned delta + block) is
     /// sealed with the next generation's footer, the current file is
@@ -347,12 +354,12 @@ impl TomographyService {
 
     /// Ingests already-decoded observations. The ingest is
     /// **transactional**: with history enabled, the prospective history
-    /// (including this block) is durably persisted as the next
+    /// (including this block) is atomically persisted as the next
     /// generation *first*, and only a successful write mutates the
     /// in-memory estimator. A failed persist leaves the service —
     /// memory and disk — exactly at the previously acked generation, so
-    /// an `OK` reply to an `OBS` request really means "this block
-    /// survives a crash".
+    /// an `OK` reply to an `OBS` request means "this block survives a
+    /// killed process" (the write is not fsync'd, so not a power loss).
     pub fn ingest_observations(&mut self, block: &PathObservations) -> Result<usize, ServeError> {
         if block.num_paths() != self.num_paths {
             return Err(ServeError::PathMismatch {

@@ -6,13 +6,18 @@
 //! packet-loss rates, sends probe packets along every path and classifies
 //! each path as good or congested by comparing its measured loss rate to
 //! the path threshold `t_p = 1 − (1 − t_l)^d`.
+//!
+//! The runs return only the path observations, which is all the inference
+//! algorithms ever see. The ground-truth link states of a snapshot come
+//! from [`Simulator::simulate_snapshot`]; a seeded range is re-simulated
+//! snapshot by snapshot from [`snapshot_seed`].
 
 use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
-use netcorr_measure::{BitMatrix, PathObservations};
+use netcorr_measure::PathObservations;
 use netcorr_topology::TopologyInstance;
 
 use crate::config::{SimulationConfig, TransmissionModel};
@@ -33,19 +38,6 @@ pub fn snapshot_seed(base_seed: u64, snapshot: usize) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// A simulation run that also kept the ground-truth link states of every
-/// snapshot (useful for validation and for studying the separability
-/// assumption; the inference algorithms never see this information).
-#[derive(Debug, Clone)]
-pub struct SimulationTrace {
-    /// The end-to-end observations (what the algorithms consume).
-    pub observations: PathObservations,
-    /// For every snapshot, the congestion state of every link, bit-packed
-    /// one row per snapshot (same columnar discipline as the
-    /// observations: `link_states.get(snapshot, link.index())`).
-    pub link_states: BitMatrix,
 }
 
 /// The snapshot simulator.
@@ -97,25 +89,6 @@ impl<'a> Simulator<'a> {
         observations
     }
 
-    /// Runs `snapshots` snapshots and returns both the observations and the
-    /// ground-truth link states.
-    pub fn run_detailed(&self, snapshots: usize, rng: &mut impl Rng) -> SimulationTrace {
-        let mut observations =
-            PathObservations::with_capacity(self.instance.num_paths(), snapshots);
-        let mut link_states = BitMatrix::with_capacity(self.instance.num_links(), snapshots);
-        for _ in 0..snapshots {
-            let (links, path_congested) = self.simulate_snapshot(rng);
-            observations
-                .record_snapshot(&path_congested)
-                .expect("snapshot width matches the path count");
-            link_states.push_row(&links);
-        }
-        SimulationTrace {
-            observations,
-            link_states,
-        }
-    }
-
     /// Runs the snapshots of `range` only, each seeded independently from
     /// `base_seed` via [`snapshot_seed`].
     ///
@@ -140,26 +113,6 @@ impl<'a> Simulator<'a> {
     /// `run_range(0..snapshots, base_seed)`).
     pub fn run_seeded(&self, snapshots: usize, base_seed: u64) -> PathObservations {
         self.run_range(0..snapshots, base_seed)
-    }
-
-    /// Like [`Simulator::run_range`], but also keeps the ground-truth link
-    /// states of each snapshot in the range.
-    pub fn run_detailed_range(&self, range: Range<usize>, base_seed: u64) -> SimulationTrace {
-        let mut observations =
-            PathObservations::with_capacity(self.instance.num_paths(), range.len());
-        let mut link_states = BitMatrix::with_capacity(self.instance.num_links(), range.len());
-        for snapshot in range {
-            let mut rng = StdRng::seed_from_u64(snapshot_seed(base_seed, snapshot));
-            let (links, path_congested) = self.simulate_snapshot(&mut rng);
-            observations
-                .record_snapshot(&path_congested)
-                .expect("snapshot width matches the path count");
-            link_states.push_row(&links);
-        }
-        SimulationTrace {
-            observations,
-            link_states,
-        }
     }
 
     /// Simulates a single snapshot: returns the link congestion states and
@@ -344,23 +297,19 @@ mod tests {
         };
         let sim = Simulator::new(&inst, &model, config).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        let trace = sim.run_detailed(2000, &mut rng);
-        assert_eq!(trace.link_states.num_rows(), 2000);
-        assert_eq!(trace.link_states.width(), inst.num_links());
-        for snapshot_idx in 0..trace.link_states.num_rows() {
-            let links = trace.link_states.row_bools(snapshot_idx);
+        for _ in 0..2000 {
+            let (links, paths) = sim.simulate_snapshot(&mut rng);
+            assert_eq!(links.len(), inst.num_links());
+            assert_eq!(paths.len(), inst.num_paths());
             // The joint group is all-or-nothing in every snapshot.
             assert_eq!(links[0], links[1]);
-            assert_eq!(links[0], trace.link_states.get(snapshot_idx, 0));
             // Separability, one direction: if every link of a path is good,
             // the path must be observed good (exact transmission).
             for (path_idx, path) in inst.paths.paths().enumerate() {
                 let all_good = path.links.iter().all(|l| !links[l.index()]);
                 if all_good {
                     assert!(
-                        !trace
-                            .observations
-                            .is_congested(snapshot_idx, PathId(path_idx)),
+                        !paths[path_idx],
                         "path {path_idx} congested although all its links are good"
                     );
                 }
@@ -386,11 +335,18 @@ mod tests {
 
     #[test]
     fn detailed_range_matches_the_plain_range() {
+        // Re-simulating a seeded range snapshot by snapshot (which also
+        // yields the link states) reproduces `run_range` exactly.
         let (inst, model) = fig1a_setup();
         let sim = Simulator::new(&inst, &model, SimulationConfig::default()).unwrap();
-        let trace = sim.run_detailed_range(10..40, 7);
-        assert_eq!(trace.observations, sim.run_range(10..40, 7));
-        assert_eq!(trace.link_states.num_rows(), 30);
+        let mut replayed = PathObservations::new(inst.num_paths());
+        for snapshot in 10..40 {
+            let mut rng = StdRng::seed_from_u64(snapshot_seed(7, snapshot));
+            let (links, paths) = sim.simulate_snapshot(&mut rng);
+            assert_eq!(links.len(), inst.num_links());
+            replayed.record_snapshot(&paths).unwrap();
+        }
+        assert_eq!(replayed, sim.run_range(10..40, 7));
     }
 
     #[test]

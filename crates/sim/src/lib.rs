@@ -47,7 +47,7 @@ pub mod perturb;
 
 pub use config::{SimulationConfig, TransmissionModel};
 pub use congestion::{CongestionModel, CongestionModelBuilder, ExplicitModel, SubstrateModel};
-pub use engine::{snapshot_seed, SimulationTrace, Simulator};
+pub use engine::{snapshot_seed, Simulator};
 pub use error::SimError;
 pub use perturb::{
     mask_missing_rows, GilbertElliottConfig, LossDriftConfig, MissingRowsConfig,
