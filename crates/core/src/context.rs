@@ -10,8 +10,14 @@
 //! per-trial loop:
 //!
 //! * the [`EquationStructure`] is built once;
-//! * the linearly-independent row subset is selected once, and with it
-//!   the solve plan is prepared (a `PreparedSolve` in [`crate::solver`]):
+//! * the linearly-independent row subset is selected once, exactly, by
+//!   sparse elimination over a prime field
+//!   ([`netcorr_linalg::rank::select_indicator_rows`]); the same
+//!   elimination yields the rank ([`InferenceContext::rank`]) and which
+//!   links the measurements pin down
+//!   ([`InferenceContext::identified_links`]);
+//! * with the selection the solve plan is prepared (a `PreparedSolve` in
+//!   [`crate::solver`]):
 //!   dense determined systems keep the QR factorization, so each trial is
 //!   one `Qᵀb` sweep plus one back-substitution, and whole batches go
 //!   through the RHS-batched [`netcorr_linalg::QrDecomposition::solve_many`];
@@ -138,6 +144,21 @@ impl InferenceContext {
     /// Which numerical path solves this structure's systems.
     pub fn solver_kind(&self) -> SolverKind {
         self.prepared.kind()
+    }
+
+    /// Rank of the equation structure: the number of independent
+    /// equations the solver keeps (`N1 + N2`).
+    pub fn rank(&self) -> usize {
+        self.prepared.rank()
+    }
+
+    /// Per link: whether the measurements identify it — its unit vector
+    /// lies in the span of the equations, so every solution of the system
+    /// gives it the same value. A structure-only trust flag: the other
+    /// links' values are a choice of the solver (minimum L1 or minimum
+    /// norm), not a measurement.
+    pub fn identified_links(&self) -> &[bool] {
+        self.prepared.identified()
     }
 
     /// The right-hand side over `counts`: one clamped empirical
@@ -285,9 +306,10 @@ struct ContextKey {
     /// `(respect_correlation, use_pairs, max_pair_equations_per_link bits,
     /// max_pair_candidates)`.
     equations: (bool, bool, u64, usize),
-    /// `(independence_tolerance bits, dense_threshold, cgls_iterations,
-    /// cgls_tolerance bits, ridge bits, clamp_nonpositive)`.
-    solver: (u64, usize, usize, u64, u64, bool),
+    /// `(dense_threshold, cgls_iterations, cgls_tolerance bits, ridge
+    /// bits, clamp_nonpositive)`. `independence_tolerance` is left out: it
+    /// only configures the selection's test oracle, never the plan.
+    solver: (usize, usize, u64, u64, bool),
 }
 
 impl ContextKey {
@@ -313,7 +335,6 @@ impl ContextKey {
                 config.equations.max_pair_candidates,
             ),
             solver: (
-                config.solver.independence_tolerance.to_bits(),
                 config.solver.dense_threshold,
                 config.solver.cgls_iterations,
                 config.solver.cgls_tolerance.to_bits(),
@@ -579,6 +600,30 @@ mod tests {
         let d = cache.context(&clone, &config).unwrap();
         assert!(Arc::ptr_eq(&a, &d));
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn rank_and_identified_links_come_from_the_selection() {
+        let inst = fig1a_instance();
+        let config = AlgorithmConfig::default();
+        // The correlation algorithm's four equations pin every link.
+        let ctx = InferenceContext::for_correlation(&inst, config).unwrap();
+        assert_eq!(ctx.rank(), 4);
+        assert_eq!(ctx.identified_links(), &[true; 4]);
+        let estimate = ctx.infer(&simulate(&inst, 500, 3)).unwrap();
+        assert_eq!(
+            ctx.rank(),
+            estimate.diagnostics.num_single_path_equations
+                + estimate.diagnostics.num_pair_equations
+        );
+        // The oracle's tolerance does not change the plan, so it is not
+        // part of the cache key.
+        let cache = ContextCache::new();
+        let a = cache.context(&inst, &config).unwrap();
+        let mut loose = config;
+        loose.solver.independence_tolerance = 1e-3;
+        let b = cache.context(&inst, &loose).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]

@@ -6,7 +6,11 @@
 //! 1. Consider the candidate equations in priority order — single-path
 //!    equations first, then path-pair equations — and keep a maximal
 //!    linearly-independent subset; the kept counts are the paper's `N1` and
-//!    `N2`.
+//!    `N2`. Every equation row is a 0/1 indicator row, so the subset is
+//!    selected exactly, by sparse Gaussian elimination over a prime field
+//!    ([`netcorr_linalg::rank::select_indicator_rows`], guarded by a
+//!    second prime). The same elimination, reduced, tells which links the
+//!    kept equations pin to a single value (the *identified* links).
 //! 2. If `N1 + N2 = |E|`, solve the square system exactly.
 //! 3. If `N1 + N2 < |E|`, the system is under-determined and the solution
 //!    that minimises the L1 norm is chosen (the unknowns are
@@ -30,9 +34,12 @@
 use serde::{Deserialize, Serialize};
 
 use netcorr_linalg::{
-    cgls_blocked, l1::min_l1_norm_solution, l1::min_l1_norm_solution_nonneg, norms,
-    rank::IndependentRowSelector, BlockedSparseMatrix, LinalgError, Matrix, QrDecomposition,
-    SparseMatrix,
+    cgls_blocked,
+    l1::min_l1_norm_solution,
+    l1::min_l1_norm_solution_nonneg,
+    norms,
+    rank::{select_indicator_rows, IndicatorSelection},
+    BlockedSparseMatrix, LinalgError, Matrix, QrDecomposition, SparseMatrix,
 };
 
 use crate::equations::{EquationSource, EquationSystem};
@@ -42,7 +49,10 @@ use crate::result::SolverKind;
 /// Configuration of the numerical solver.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SolverConfig {
-    /// Relative tolerance for the linear-independence selection.
+    /// Relative tolerance of the floating-point Gram–Schmidt oracle
+    /// ([`netcorr_linalg::rank::IndependentRowSelector`]) that tests and
+    /// benchmarks check the row selection against. The selection itself
+    /// is exact and does not read it.
     pub independence_tolerance: f64,
     /// Instances with at most this many links use the dense exact path
     /// (QR for the determined case, an exact LP for the minimum-L1-norm
@@ -93,34 +103,6 @@ pub struct SolveOutcome {
     pub iterations: usize,
 }
 
-/// Selects a maximal linearly-independent subset of the rows of `matrix`,
-/// in row order (the paper's priority order: the equation builder emits
-/// single-path equations before pair equations).
-///
-/// The selection depends only on the matrix — never on a right-hand side —
-/// so it is computed once per [`PreparedSolve`] and reused across every
-/// right-hand side it solves.
-fn select_rows(matrix: &SparseMatrix, num_links: usize, tolerance: f64) -> Vec<usize> {
-    let mut selector = IndependentRowSelector::new(num_links, tolerance);
-    let mut selected: Vec<usize> = Vec::new();
-    let mut dense_row = vec![0.0; num_links];
-    for row_idx in 0..matrix.rows() {
-        if selector.is_complete() {
-            break;
-        }
-        for value in dense_row.iter_mut() {
-            *value = 0.0;
-        }
-        for &(col, value) in matrix.row(row_idx) {
-            dense_row[col] = value;
-        }
-        if selector.offer(&dense_row) {
-            selected.push(row_idx);
-        }
-    }
-    selected
-}
-
 /// Gathers the selected rows into a dense matrix (dense path).
 fn gather_dense(matrix: &SparseMatrix, selected: &[usize], num_links: usize) -> Matrix {
     let mut a = Matrix::zeros(selected.len(), num_links);
@@ -165,12 +147,13 @@ enum SolvePlan {
 /// Everything about solving one equation matrix that does not depend on
 /// the right-hand side: the independent-row selection (steps 1–3 of the
 /// module docs pick their path from it alone), its `N1`/`N2` bookkeeping,
-/// and the prepared [`SolvePlan`]. Built once per matrix, it solves any
-/// number of right-hand sides; [`solve_equations`] and
-/// [`crate::InferenceContext`] are both thin layers over it.
+/// the per-link identifiability flags, and the prepared [`SolvePlan`].
+/// Built once per matrix, it solves any number of right-hand sides;
+/// [`solve_equations`] and [`crate::InferenceContext`] are both thin
+/// layers over it.
 pub(crate) struct PreparedSolve {
     config: SolverConfig,
-    selected: Vec<usize>,
+    selection: IndicatorSelection,
     used_single: usize,
     used_pair: usize,
     underdetermined: bool,
@@ -181,14 +164,23 @@ impl PreparedSolve {
     /// Selects the independent rows of `matrix` (whose rows `sources`
     /// describes) and prepares the plan: `num_links == 0` is empty,
     /// `num_links <= dense_threshold` goes dense (the threshold is
-    /// inclusive), anything larger goes to sparse CGLS.
+    /// inclusive), anything larger goes to sparse CGLS. Fails with
+    /// [`CoreError::Numerical`] if a row is not a 0/1 indicator row or the
+    /// exact selection's prime guard trips.
     pub(crate) fn new(
         matrix: &SparseMatrix,
         sources: &[EquationSource],
         num_links: usize,
         config: &SolverConfig,
     ) -> Result<Self, CoreError> {
-        let selected = select_rows(matrix, num_links, config.independence_tolerance);
+        if matrix.cols() != num_links {
+            return Err(CoreError::InvalidConfig(format!(
+                "equation matrix has {} columns, instance has {num_links} links",
+                matrix.cols()
+            )));
+        }
+        let selection = select_indicator_rows(matrix).map_err(CoreError::Numerical)?;
+        let selected = &selection.selected;
         let used_single = selected
             .iter()
             .filter(|&&i| matches!(sources[i], EquationSource::SinglePath(_)))
@@ -198,7 +190,7 @@ impl PreparedSolve {
         let plan = if num_links == 0 {
             SolvePlan::Empty
         } else if num_links <= config.dense_threshold {
-            let a = gather_dense(matrix, &selected, num_links);
+            let a = gather_dense(matrix, selected, num_links);
             if underdetermined {
                 SolvePlan::DenseL1 { a }
             } else {
@@ -207,14 +199,14 @@ impl PreparedSolve {
                 }
             }
         } else {
-            let gathered = gather_sparse(matrix, &selected, num_links)?;
+            let gathered = gather_sparse(matrix, selected, num_links)?;
             SolvePlan::Sparse {
                 matrix: gathered.to_blocked(),
             }
         };
         Ok(PreparedSolve {
             config: *config,
-            selected,
+            selection,
             used_single,
             used_pair,
             underdetermined,
@@ -225,6 +217,17 @@ impl PreparedSolve {
     /// Whether fewer independent equations than unknowns were available.
     pub(crate) fn underdetermined(&self) -> bool {
         self.underdetermined
+    }
+
+    /// Number of independent equations kept (`N1 + N2`).
+    pub(crate) fn rank(&self) -> usize {
+        self.selection.rank()
+    }
+
+    /// Per link: whether the kept equations pin its value, i.e. every
+    /// solution of the selected system gives the link the same value.
+    pub(crate) fn identified(&self) -> &[bool] {
+        &self.selection.identified
     }
 
     /// Which numerical path solves this matrix's systems.
@@ -338,7 +341,7 @@ impl PreparedSolve {
                 matrix.rows()
             )));
         }
-        Ok(self.selected.iter().map(|&i| rhs[i]).collect())
+        Ok(self.selection.selected.iter().map(|&i| rhs[i]).collect())
     }
 
     /// The outcome of a solution `x`: the optional clamp to `x ≤ 0`, the
@@ -716,6 +719,28 @@ mod tests {
         // With clamping on the positive mass is removed, as in production.
         let clamped = solve_equations(&system, 2, &SolverConfig::default()).unwrap();
         assert!(clamped.x.iter().all(|&v| v <= 0.0));
+    }
+
+    #[test]
+    fn non_indicator_rows_are_rejected_not_approximated() {
+        let (mut system, _) = fig1a_exact_system();
+        system.matrix.push_row(&[(0, 1.0), (3, 0.5)]).unwrap();
+        system.rhs.push(-0.1);
+        system
+            .sources
+            .push(EquationSource::PathPair(PathId(0), PathId(2)));
+        assert_eq!(
+            solve_equations(&system, 4, &SolverConfig::default()).err(),
+            Some(CoreError::Numerical(LinalgError::NonIndicatorRow {
+                row: 4
+            }))
+        );
+        // A matrix over the wrong number of links is a configuration error.
+        let (system, _) = fig1a_exact_system();
+        assert!(matches!(
+            solve_equations(&system, 5, &SolverConfig::default()),
+            Err(CoreError::InvalidConfig(_))
+        ));
     }
 
     #[test]

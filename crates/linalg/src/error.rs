@@ -33,6 +33,21 @@ pub enum LinalgError {
     /// A matrix or vector argument was empty where a non-empty one is
     /// required.
     Empty,
+    /// Exact 0/1 row selection was given a row holding a value other
+    /// than 1.
+    NonIndicatorRow {
+        /// Index of the offending row.
+        row: usize,
+    },
+    /// Exact row selection over two primes picked different rows (or
+    /// reduced to different identifiable columns): at least one prime
+    /// divides a minor of the matrix, so neither answer is trusted.
+    PrimeDisagreement {
+        /// The two primes the elimination ran over.
+        primes: [u64; 2],
+        /// The rank found modulo each prime.
+        ranks: [usize; 2],
+    },
 }
 
 impl fmt::Display for LinalgError {
@@ -54,6 +69,17 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::NotFinite => write!(f, "input contains NaN or infinite values"),
             LinalgError::Empty => write!(f, "input is empty"),
+            LinalgError::NonIndicatorRow { row } => {
+                write!(
+                    f,
+                    "row {row} holds a value other than 1; expected a 0/1 indicator row"
+                )
+            }
+            LinalgError::PrimeDisagreement { primes, ranks } => write!(
+                f,
+                "exact row selection disagrees between primes {} and {} (ranks {} and {})",
+                primes[0], primes[1], ranks[0], ranks[1]
+            ),
         }
     }
 }

@@ -18,9 +18,9 @@
 //! * [`qr`] — Householder QR factorisation (least-squares solves).
 //! * [`lstsq`] — a driver that picks the right solver for the shape/rank of
 //!   the system.
-//! * [`rank`] — numerical rank estimation and greedy selection of a
-//!   linearly-independent subset of rows (used by the equation builder to
-//!   keep only independent measurements).
+//! * [`rank`] — exact greedy selection of a linearly-independent subset
+//!   of 0/1 rows, with the columns they identify (used by the solver to
+//!   keep only independent measurements), plus its Gram–Schmidt oracle.
 //! * [`simplex`] — a two-phase primal simplex solver for linear programs in
 //!   standard form.
 //! * [`l1`] — minimum-L1-norm solutions of under-determined systems
@@ -51,7 +51,6 @@ pub use lstsq::{solve_least_squares, LeastSquaresSolution};
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;
 pub use qr::QrDecomposition;
-pub use rank::{numerical_rank, select_independent_rows};
 pub use simplex::{LinearProgram, LpSolution, LpStatus};
 pub use sparse::{cgls, cgls_blocked, cgls_warm, BlockedSparseMatrix, CglsSolution, SparseMatrix};
 

@@ -13,11 +13,117 @@ use netcorr_linalg::{
     matrix::Matrix,
     norms::{l1_norm, l2_norm, sub},
     qr::QrDecomposition,
-    rank::{numerical_rank, select_independent_rows},
+    rank::{select_indicator_rows, IndependentRowSelector},
     simplex::{LinearProgram, LpStatus},
     sparse::{cgls, SparseMatrix},
 };
 use proptest::prelude::*;
+
+/// Estimates the numerical rank of a matrix by Gaussian elimination with
+/// partial pivoting and the relative tolerance `tol`.
+fn numerical_rank(a: &Matrix, tol: f64) -> usize {
+    if a.is_empty() {
+        return 0;
+    }
+    let mut m = a.clone();
+    let rows = m.rows();
+    let cols = m.cols();
+    let scale = m.max_abs();
+    if scale == 0.0 {
+        return 0;
+    }
+    let threshold = tol * scale;
+    let mut rank = 0;
+    let mut pivot_row = 0;
+    for col in 0..cols {
+        if pivot_row >= rows {
+            break;
+        }
+        // Find the largest entry in this column at or below pivot_row.
+        let mut best = pivot_row;
+        let mut best_val = m[(pivot_row, col)].abs();
+        for i in (pivot_row + 1)..rows {
+            let v = m[(i, col)].abs();
+            if v > best_val {
+                best_val = v;
+                best = i;
+            }
+        }
+        if best_val <= threshold {
+            continue;
+        }
+        m.swap_rows(pivot_row, best);
+        let pivot = m[(pivot_row, col)];
+        for i in (pivot_row + 1)..rows {
+            let factor = m[(i, col)] / pivot;
+            if factor == 0.0 {
+                continue;
+            }
+            for j in col..cols {
+                let delta = factor * m[(pivot_row, j)];
+                m[(i, j)] -= delta;
+            }
+        }
+        rank += 1;
+        pivot_row += 1;
+    }
+    rank
+}
+
+/// The Gram–Schmidt oracle's selection: a maximal linearly-independent
+/// subset of the rows of `a`, considering rows in the order given by
+/// `priority`, returned in acceptance order.
+fn select_independent_rows(a: &Matrix, priority: &[usize], tol: f64) -> Vec<usize> {
+    let mut selector = IndependentRowSelector::new(a.cols(), tol);
+    let mut accepted = Vec::new();
+    for &i in priority {
+        if selector.is_complete() {
+            break;
+        }
+        if selector.offer(a.row_slice(i)) {
+            accepted.push(i);
+        }
+    }
+    accepted
+}
+
+/// A 0/1 matrix of `rows × cols` whose cell `(i, j)` is 1 iff
+/// `cells[i * 24 + j] < density`.
+fn indicator_matrix(rows: usize, cols: usize, density: f64, cells: &[f64]) -> Matrix {
+    Matrix::from_fn(rows, cols, |i, j| {
+        if cells[i * 24 + j] < density {
+            1.0
+        } else {
+            0.0
+        }
+    })
+}
+
+#[test]
+fn rank_of_simple_matrices() {
+    assert_eq!(numerical_rank(&Matrix::identity(3), 1e-10), 3);
+    assert_eq!(numerical_rank(&Matrix::zeros(3, 3), 1e-10), 0);
+
+    let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]).unwrap();
+    assert_eq!(numerical_rank(&a, 1e-10), 1);
+
+    let b = Matrix::from_rows(&[
+        vec![1.0, 0.0, 1.0],
+        vec![0.0, 1.0, 1.0],
+        vec![1.0, 1.0, 2.0],
+    ])
+    .unwrap();
+    // Third row is the sum of the first two.
+    assert_eq!(numerical_rank(&b, 1e-10), 2);
+}
+
+#[test]
+fn rank_of_wide_and_tall_matrices() {
+    let wide = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
+    assert_eq!(numerical_rank(&wide, 1e-10), 2);
+    let tall = wide.transpose();
+    assert_eq!(numerical_rank(&tall, 1e-10), 2);
+}
 
 /// Converts a dense matrix into the sparse row format, keeping every entry
 /// (including explicit zeros — the formats must agree regardless).
@@ -247,4 +353,37 @@ fn matrix_add_sub_roundtrip() {
     let sum = &a + &b;
     let back = &sum - &b;
     assert!(back.approx_eq(&a, 1e-12));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn exact_selection_matches_the_gram_schmidt_oracle(
+        rows in 1usize..=36,
+        cols in 1usize..=24,
+        density in 0.03f64..0.5,
+        cells in prop::collection::vec(0.0f64..1.0, 36 * 24),
+    ) {
+        // Random density keeps rank-deficient, partly identified systems
+        // common.
+        let a = indicator_matrix(rows, cols, density, &cells);
+        let order: Vec<usize> = (0..a.rows()).collect();
+        let oracle = select_independent_rows(&a, &order, 1e-9);
+        let exact = select_indicator_rows(&sparse_from_dense(&a)).unwrap();
+        prop_assert_eq!(&exact.selected, &oracle);
+        prop_assert_eq!(exact.rank(), numerical_rank(&a, 1e-9));
+        // Link k is identified iff e_k lies in the span of the selected
+        // rows: a selector holding them rejects it.
+        let mut holding = IndependentRowSelector::new(a.cols(), 1e-9);
+        for &i in &oracle {
+            prop_assert!(holding.offer(a.row_slice(i)));
+        }
+        for k in 0..a.cols() {
+            let mut unit = vec![0.0; a.cols()];
+            unit[k] = 1.0;
+            let rejected = !holding.clone().offer(&unit);
+            prop_assert_eq!(exact.identified[k], rejected, "column {}", k);
+        }
+    }
 }

@@ -365,6 +365,8 @@ impl<S: Read + Write> Client<S> {
             num_links: parse_field(&payload, "links")?,
             num_snapshots: parse_field(&payload, "snapshots")?,
             num_equations: parse_field(&payload, "equations")?,
+            rank: parse_field(&payload, "rank")?,
+            identified: parse_field(&payload, "identified")?,
             reinfers: parse_field(&payload, "reinfers")?,
             solver: match solver.as_str() {
                 "DenseExact" => netcorr_core::SolverKind::DenseExact,
@@ -603,8 +605,11 @@ mod tests {
 
     #[test]
     fn reply_fields_parse() {
-        let payload = "paths=3 links=4 snapshots=60 reinfers=2 inferred=true";
+        let payload =
+            "paths=3 links=4 snapshots=60 equations=6 rank=4 identified=3 reinfers=2 inferred=true";
         assert_eq!(parse_field::<usize>(payload, "links").unwrap(), 4);
+        assert_eq!(parse_field::<usize>(payload, "rank").unwrap(), 4);
+        assert_eq!(parse_field::<usize>(payload, "identified").unwrap(), 3);
         assert_eq!(text_field(payload, "inferred").unwrap(), "true");
         // `snapshots` must not match the prefix of another key.
         assert_eq!(parse_field::<usize>(payload, "snapshots").unwrap(), 60);

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! PING                      → OK pong
-//! STATUS                    → OK paths=3 links=4 snapshots=60 equations=6 reinfers=2 solver=DenseExact inferred=true stale=false kernel=avx512 history=none
+//! STATUS                    → OK paths=3 links=4 snapshots=60 equations=6 rank=4 identified=4 reinfers=2 solver=DenseExact inferred=true stale=false kernel=avx512 history=none
 //! OBS <len>\n<len raw bytes> → OK ingested=25 snapshots=60
 //! INFER                     → OK snapshots=60 solver=DenseExact residual=0.0000000019 iterations=0 stale=false
 //! PROB <link>               → OK 0.24719056413242677
@@ -15,6 +15,13 @@
 //! STATE <link> [threshold]  → OK congested=false probability=0.247… threshold=0.5
 //! SHUTDOWN                  → OK bye
 //! ```
+//!
+//! `STATUS` also says how far the answers can be trusted: `rank` is the
+//! number of independent equations the solver keeps, and `identified`
+//! the number of links those equations pin to a single value (see
+//! [`netcorr_core::InferenceContext::identified_links`]). The other
+//! links' probabilities are the solver's minimum-norm choice, not a
+//! measurement. Both depend only on the topology.
 //!
 //! With `--history` enabled, `STATUS` reports the persistence state as
 //! `history=backing:path history_snapshots=… history_bytes=…
@@ -214,11 +221,13 @@ fn try_execute(
         Request::Status => {
             let s = service.status();
             let mut text = format!(
-                "paths={} links={} snapshots={} equations={} reinfers={} solver={:?} inferred={} stale={} kernel={}",
+                "paths={} links={} snapshots={} equations={} rank={} identified={} reinfers={} solver={:?} inferred={} stale={} kernel={}",
                 s.num_paths,
                 s.num_links,
                 s.num_snapshots,
                 s.num_equations,
+                s.rank,
+                s.identified,
                 s.reinfers,
                 s.solver,
                 s.inferred,
@@ -423,10 +432,45 @@ mod tests {
             reply.text
         );
         assert!(reply.text.contains("history=none"), "got {}", reply.text);
+        // Figure 1(a)'s four independent equations pin all four links.
+        assert!(
+            reply.text.contains(" rank=4 identified=4 "),
+            "got {}",
+            reply.text
+        );
 
         let reply = execute(&mut service, "SHUTDOWN", &mut empty);
         assert_eq!(reply.text, "OK bye");
         assert!(reply.shutdown);
+    }
+
+    #[test]
+    fn status_reports_rank_and_identified_links_on_planetlab_smoke() {
+        // The daemon's `--topology planetlab-smoke` at its default seed:
+        // 57 independent equations over 80 links, 40 of them identified,
+        // as the Gram–Schmidt oracle finds.
+        let instance = netcorr_eval::figures::base_instance(
+            netcorr_eval::figures::TopologyFamily::PlanetLab,
+            netcorr_eval::figures::Scale::Smoke,
+            42,
+        )
+        .unwrap();
+        let mut service = TomographyService::new(&instance, &AlgorithmConfig::default()).unwrap();
+        let reply = execute(&mut service, "STATUS", &mut std::io::empty());
+        let field = |key: &str| {
+            reply
+                .text
+                .split(' ')
+                .find_map(|w| w.strip_prefix(key)?.strip_prefix('='))
+                .unwrap_or_else(|| panic!("no {key} in {}", reply.text))
+        };
+        assert_eq!(field("links"), "80");
+        assert_eq!(field("rank"), "57");
+        assert_eq!(field("identified"), "40");
+        // Both are structural: they do not wait for an estimate.
+        assert_eq!(field("inferred"), "false");
+        assert_eq!(service.status().rank, 57);
+        assert_eq!(service.status().identified, 40);
     }
 
     #[test]

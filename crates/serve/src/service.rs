@@ -94,6 +94,12 @@ pub struct ServiceStatus {
     pub num_snapshots: usize,
     /// Equations in the shared structure.
     pub num_equations: usize,
+    /// Independent equations the solver keeps: the structure's rank.
+    pub rank: usize,
+    /// Links whose value the equations pin down (see
+    /// [`netcorr_core::InferenceContext::identified_links`]); the others
+    /// are the solver's choice, not a measurement.
+    pub identified: usize,
     /// Re-inferences performed so far (cache hits excluded).
     pub reinfers: u64,
     /// Which numerical path solves this topology's systems.
@@ -499,6 +505,13 @@ impl TomographyService {
             num_links: self.context.num_links(),
             num_snapshots: self.estimator.num_snapshots(),
             num_equations: self.context.structure().num_equations(),
+            rank: self.context.rank(),
+            identified: self
+                .context
+                .identified_links()
+                .iter()
+                .filter(|&&id| id)
+                .count(),
             reinfers: self.reinfers,
             solver: self.context.solver_kind(),
             inferred: self.estimate.is_some(),
