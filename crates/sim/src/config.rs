@@ -13,11 +13,14 @@ pub enum TransmissionModel {
     /// the paper's simulator. Accurate but slow; intended for small
     /// topologies and validation tests.
     PerPacket,
-    /// The number of delivered packets is drawn from a Binomial
-    /// distribution with the path's end-to-end delivery probability —
-    /// statistically identical to [`TransmissionModel::PerPacket`] (packet
-    /// fates are independent) but orders of magnitude faster. This is the
-    /// default.
+    /// Packet fates are independent, so the number of lost packets is
+    /// Binomial(`n`, `1 − delivery`), and the path is congested exactly
+    /// when that count reaches the cutoff of its threshold. The
+    /// good/congested bit is drawn directly, with the exact binomial tail
+    /// probability of reaching the cutoff, and no packet count is
+    /// materialised (see [`crate::loss`]) — statistically identical to
+    /// [`TransmissionModel::PerPacket`] but orders of magnitude faster.
+    /// This is the default.
     Binomial,
     /// No packet sampling at all: the measured path loss rate equals the
     /// exact end-to-end loss probability (the limit of infinitely many

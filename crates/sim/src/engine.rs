@@ -3,9 +3,13 @@
 //! A [`Simulator`] binds a topology instance, a congestion model and a
 //! simulation configuration, and turns them into end-to-end measurements:
 //! for every snapshot it draws link states from the model, assigns
-//! packet-loss rates, sends probe packets along every path and classifies
-//! each path as good or congested by comparing its measured loss rate to
-//! the path threshold `t_p = 1 − (1 − t_l)^d`.
+//! packet-loss rates, and classifies each path as good or congested by
+//! comparing its loss to the path threshold `t_p = 1 − (1 − t_l)^d`. How
+//! the loss is measured depends on the [`TransmissionModel`]: the exact
+//! end-to-end loss, every probe packet walked across every link, or — the
+//! default — one Bernoulli draw of the exact binomial tail `P(lost ≥ c_d)`
+//! (see [`crate::loss`]), whose cutoff `c_d` is precomputed per hop count
+//! when the simulator is built.
 //!
 //! The runs return only the path observations, which is all the inference
 //! algorithms ever see. The ground-truth link states of a snapshot come
@@ -18,12 +22,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use netcorr_measure::PathObservations;
+use netcorr_topology::graph::LinkId;
 use netcorr_topology::TopologyInstance;
 
 use crate::config::{SimulationConfig, TransmissionModel};
 use crate::congestion::CongestionModel;
 use crate::error::SimError;
-use crate::loss::{path_delivery_probability, sample_binomial, sample_loss_rate};
+use crate::loss::{sample_loss_rate, LossTail};
 
 /// Derives the RNG seed of one snapshot from a trial's base seed.
 ///
@@ -46,6 +51,9 @@ pub struct Simulator<'a> {
     pub(crate) instance: &'a TopologyInstance,
     pub(crate) model: &'a CongestionModel,
     pub(crate) config: SimulationConfig,
+    /// The binomial model's congestion tail per hop count `0..=max_hops`;
+    /// empty for the other transmission models.
+    tails: Vec<LossTail>,
 }
 
 impl<'a> Simulator<'a> {
@@ -64,10 +72,25 @@ impl<'a> Simulator<'a> {
                 instance.num_links()
             )));
         }
+        let tails = match config.transmission {
+            TransmissionModel::Binomial => {
+                let max_hops = instance.paths.paths().map(|p| p.len()).max().unwrap_or(0);
+                (0..=max_hops)
+                    .map(|hops| {
+                        LossTail::for_threshold(
+                            config.packets_per_path,
+                            config.path_congestion_threshold(hops),
+                        )
+                    })
+                    .collect()
+            }
+            TransmissionModel::Exact | TransmissionModel::PerPacket => Vec::new(),
+        };
         Ok(Simulator {
             instance,
             model,
             config,
+            tails,
         })
     }
 
@@ -130,40 +153,44 @@ impl<'a> Simulator<'a> {
             .instance
             .paths
             .paths()
-            .map(|path| {
-                let path_losses: Vec<f64> =
-                    path.links.iter().map(|l| loss_rates[l.index()]).collect();
-                let threshold = self.config.path_congestion_threshold(path.len());
-                let measured_loss = self.measure_path_loss(&path_losses, rng);
-                measured_loss > threshold
-            })
+            .map(|path| self.path_congested(&path.links, &loss_rates, path.len(), rng))
             .collect();
         (link_states, path_congested)
     }
 
-    /// Measures the loss rate of one path according to the configured
-    /// transmission model.
-    pub(crate) fn measure_path_loss(&self, link_losses: &[f64], rng: &mut impl Rng) -> f64 {
-        let delivery = path_delivery_probability(link_losses);
+    /// Probes one path whose packets cross `links`, whose links lose the
+    /// given fractions of their packets, and classifies it against the
+    /// threshold of a `hops`-link path.
+    ///
+    /// `hops` is the path length the measurement side believes in, which
+    /// differs from `links.len()` only under routing churn.
+    pub(crate) fn path_congested(
+        &self,
+        links: &[LinkId],
+        loss_rates: &[f64],
+        hops: usize,
+        rng: &mut impl Rng,
+    ) -> bool {
+        // Same multiplication order as `loss::path_delivery_probability`.
+        let delivery: f64 = links.iter().map(|l| 1.0 - loss_rates[l.index()]).product();
         match self.config.transmission {
-            TransmissionModel::Exact => 1.0 - delivery,
-            TransmissionModel::Binomial => {
-                let n = self.config.packets_per_path;
-                let delivered = sample_binomial(rng, n, delivery);
-                1.0 - delivered as f64 / n as f64
+            TransmissionModel::Exact => {
+                1.0 - delivery > self.config.path_congestion_threshold(hops)
             }
+            TransmissionModel::Binomial => self.tails[hops].sample(delivery, rng),
             TransmissionModel::PerPacket => {
                 let n = self.config.packets_per_path;
                 let mut delivered = 0usize;
                 for _ in 0..n {
-                    let survived = link_losses
-                        .iter()
-                        .all(|&loss| !(loss > 0.0 && rng.random_bool(loss.min(1.0))));
+                    let survived = links.iter().all(|l| {
+                        let loss = loss_rates[l.index()];
+                        !(loss > 0.0 && rng.random_bool(loss.min(1.0)))
+                    });
                     if survived {
                         delivered += 1;
                     }
                 }
-                1.0 - delivered as f64 / n as f64
+                1.0 - delivered as f64 / n as f64 > self.config.path_congestion_threshold(hops)
             }
         }
     }
@@ -173,12 +200,13 @@ impl<'a> Simulator<'a> {
 mod tests {
     use super::*;
     use crate::congestion::CongestionModelBuilder;
+    use crate::loss::path_delivery_probability;
     use netcorr_measure::{PathCounts, ProbabilityEstimator};
+    use netcorr_topology::generators::planetlab::{self, PlanetLabConfig};
     use netcorr_topology::graph::LinkId;
     use netcorr_topology::path::PathId;
     use netcorr_topology::toy;
     use rand::rngs::StdRng;
-    use rand::RngExt;
     use rand::SeedableRng;
 
     fn fig1a_setup() -> (netcorr_topology::TopologyInstance, CongestionModel) {
@@ -267,7 +295,7 @@ mod tests {
     #[test]
     fn binomial_and_per_packet_models_agree_statistically() {
         let (inst, model) = fig1a_setup();
-        let mut freqs = Vec::new();
+        let mut freqs: Vec<Vec<f64>> = Vec::new();
         for transmission in [TransmissionModel::Binomial, TransmissionModel::PerPacket] {
             let config = SimulationConfig {
                 transmission,
@@ -278,14 +306,18 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(4);
             let obs = sim.run(3000, &mut rng);
             let est = ProbabilityEstimator::new(&obs).unwrap();
-            freqs.push(est.prob_path_congested(PathId(0)).unwrap());
+            freqs.push(
+                (0..inst.num_paths())
+                    .map(|p| est.prob_path_congested(PathId(p)).unwrap())
+                    .collect(),
+            );
         }
-        assert!(
-            (freqs[0] - freqs[1]).abs() < 0.03,
-            "binomial {} vs per-packet {}",
-            freqs[0],
-            freqs[1]
-        );
+        for (path, (binomial, per_packet)) in freqs[0].iter().zip(&freqs[1]).enumerate() {
+            assert!(
+                (binomial - per_packet).abs() < 0.03,
+                "path {path}: binomial {binomial} vs per-packet {per_packet}"
+            );
+        }
     }
 
     #[test]
@@ -381,13 +413,54 @@ mod tests {
         };
         let sim = Simulator::new(&inst, &model, config).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
-        // Loss rate 0 on every link: every packet survives.
-        assert_eq!(sim.measure_path_loss(&[0.0, 0.0], &mut rng), 0.0);
-        // Loss rate 1 on some link: every packet dies.
-        assert_eq!(sim.measure_path_loss(&[0.0, 1.0], &mut rng), 1.0);
-        // Probabilistic case stays within [0, 1].
-        let loss = sim.measure_path_loss(&[0.3, 0.2], &mut rng);
-        assert!((0.0..=1.0).contains(&loss));
-        let _ = rng.random::<f64>();
+        let links = [LinkId(0), LinkId(1)];
+        for _ in 0..20 {
+            // Loss rate 0 on every link: every packet survives.
+            assert!(!sim.path_congested(&links, &[0.0, 0.0], 2, &mut rng));
+            // Loss rate 1 on some link: every packet dies.
+            assert!(sim.path_congested(&links, &[0.0, 1.0], 2, &mut rng));
+        }
+        // Churned routes: the believed hop count sets the threshold.
+        assert!(sim.path_congested(&links, &[0.0, 1.0], 0, &mut rng));
+    }
+
+    #[test]
+    fn exact_mode_matches_a_direct_reimplementation() {
+        // Exact-mode observations are pinned bit for bit: per snapshot,
+        // link states, then loss rates, then `1 − delivery > t_p` per path
+        // with the delivery of `path_delivery_probability`.
+        let inst =
+            planetlab::generate(&PlanetLabConfig::small(), &mut StdRng::seed_from_u64(17)).unwrap();
+        let mut builder = CongestionModelBuilder::new(&inst.correlation);
+        for link in 0..inst.num_links() {
+            builder = builder.independent(LinkId(link), 0.02 + 0.3 * (link % 7) as f64 / 7.0);
+        }
+        let model = builder.build().unwrap();
+        let config = SimulationConfig {
+            transmission: TransmissionModel::Exact,
+            ..SimulationConfig::default()
+        };
+        let sim = Simulator::new(&inst, &model, config).unwrap();
+        let mut expected = PathObservations::new(inst.num_paths());
+        for snapshot in 0..300 {
+            let mut rng = StdRng::seed_from_u64(snapshot_seed(21, snapshot));
+            let link_states = model.sample_state(&mut rng);
+            let loss_rates: Vec<f64> = link_states
+                .iter()
+                .map(|&congested| sample_loss_rate(&mut rng, congested, &config))
+                .collect();
+            let paths: Vec<bool> = inst
+                .paths
+                .paths()
+                .map(|path| {
+                    let losses: Vec<f64> =
+                        path.links.iter().map(|l| loss_rates[l.index()]).collect();
+                    1.0 - path_delivery_probability(&losses)
+                        > config.path_congestion_threshold(path.len())
+                })
+                .collect();
+            expected.record_snapshot(&paths).unwrap();
+        }
+        assert_eq!(sim.run_seeded(300, 21), expected);
     }
 }

@@ -15,7 +15,9 @@
 //!    (`t_l = 0.01`).
 //! 4. A configurable number of packets is sent along every path; each
 //!    packet survives each link independently with probability
-//!    `1 − loss rate`.
+//!    `1 − loss rate`. (By default the packets are not walked one by one:
+//!    the path's good/congested bit is drawn from the exact binomial tail
+//!    of its loss count, see [`loss`].)
 //! 5. A path is declared congested when its measured loss rate exceeds the
 //!    path threshold `t_p = 1 − (1 − t_l)^d`, where `d` is the path length.
 //!

@@ -503,10 +503,7 @@ impl<'a> PerturbedSimulator<'a> {
                     }
                     _ => &path.links,
                 };
-                let path_losses: Vec<f64> = links.iter().map(|l| loss_rates[l.index()]).collect();
-                let threshold = sim.config.path_congestion_threshold(path.len());
-                let measured_loss = sim.measure_path_loss(&path_losses, rng);
-                let mut congested = measured_loss > threshold;
+                let mut congested = sim.path_congested(links, &loss_rates, path.len(), rng);
                 // 4. Missing rows: the dropped cell reaches the collector
                 //    as "not congested" (deterministic, commutes with
                 //    sharding).
