@@ -55,14 +55,17 @@ fn simulation_throughput(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(500));
-    for (name, transmission) in [
-        ("binomial", TransmissionModel::Binomial),
-        ("exact", TransmissionModel::Exact),
-        ("per_packet", TransmissionModel::PerPacket),
+    // 200 packets keeps the per-packet reference affordable; the paper
+    // (and `SimulationConfig::default()`) sends 1000.
+    for (name, transmission, packets_per_path) in [
+        ("binomial", TransmissionModel::Binomial, 200),
+        ("binomial_1000_packets", TransmissionModel::Binomial, 1000),
+        ("exact", TransmissionModel::Exact, 200),
+        ("per_packet", TransmissionModel::PerPacket, 200),
     ] {
         let config = SimulationConfig {
             transmission,
-            packets_per_path: 200,
+            packets_per_path,
             ..SimulationConfig::default()
         };
         let simulator = Simulator::new(&fixture.scenario.instance, &fixture.scenario.model, config)

@@ -18,7 +18,9 @@ pub enum TransmissionModel {
     /// when that count reaches the cutoff of its threshold. The
     /// good/congested bit is drawn directly, with the exact binomial tail
     /// probability of reaching the cutoff, and no packet count is
-    /// materialised (see [`crate::loss`]) — statistically identical to
+    /// materialised: one uniform per path, decided by a shared table of
+    /// tail brackets or, when it lands too close to call, by summing pmf
+    /// terms (see [`crate::loss`]). Statistically identical to
     /// [`TransmissionModel::PerPacket`] but orders of magnitude faster.
     /// This is the default.
     Binomial,

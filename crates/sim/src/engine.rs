@@ -8,8 +8,10 @@
 //! the loss is measured depends on the [`TransmissionModel`]: the exact
 //! end-to-end loss, every probe packet walked across every link, or — the
 //! default — one Bernoulli draw of the exact binomial tail `P(lost ≥ c_d)`
-//! (see [`crate::loss`]), whose cutoff `c_d` is precomputed per hop count
-//! when the simulator is built.
+//! (see [`crate::loss`]). Building the simulator computes, per hop count
+//! `d`, the threshold `t_p` and, for the binomial model, the tail with its
+//! cutoff `c_d`; the tail's bracket table is shared process-wide, so it is
+//! built once per `(packets, c_d)`, not once per simulator.
 //!
 //! The runs return only the path observations, which is all the inference
 //! algorithms ever see. The ground-truth link states of a snapshot come
@@ -51,6 +53,8 @@ pub struct Simulator<'a> {
     pub(crate) instance: &'a TopologyInstance,
     pub(crate) model: &'a CongestionModel,
     pub(crate) config: SimulationConfig,
+    /// The path congestion threshold `t_p` per hop count `0..=max_hops`.
+    thresholds: Vec<f64>,
     /// The binomial model's congestion tail per hop count `0..=max_hops`;
     /// empty for the other transmission models.
     tails: Vec<LossTail>,
@@ -72,24 +76,22 @@ impl<'a> Simulator<'a> {
                 instance.num_links()
             )));
         }
+        let max_hops = instance.paths.paths().map(|p| p.len()).max().unwrap_or(0);
+        let thresholds: Vec<f64> = (0..=max_hops)
+            .map(|hops| config.path_congestion_threshold(hops))
+            .collect();
         let tails = match config.transmission {
-            TransmissionModel::Binomial => {
-                let max_hops = instance.paths.paths().map(|p| p.len()).max().unwrap_or(0);
-                (0..=max_hops)
-                    .map(|hops| {
-                        LossTail::for_threshold(
-                            config.packets_per_path,
-                            config.path_congestion_threshold(hops),
-                        )
-                    })
-                    .collect()
-            }
+            TransmissionModel::Binomial => thresholds
+                .iter()
+                .map(|&threshold| LossTail::for_threshold(config.packets_per_path, threshold))
+                .collect(),
             TransmissionModel::Exact | TransmissionModel::PerPacket => Vec::new(),
         };
         Ok(Simulator {
             instance,
             model,
             config,
+            thresholds,
             tails,
         })
     }
@@ -148,7 +150,9 @@ impl<'a> Simulator<'a> {
             .iter()
             .map(|&congested| sample_loss_rate(rng, congested, &self.config))
             .collect();
-        // 3. Send probes along every path and classify it.
+        // 3. Send probes along every path and classify it: a comparison
+        //    (exact), a bracket lookup that rarely falls back to a pmf sum
+        //    (binomial), or a walk of every packet (per packet).
         let path_congested: Vec<bool> = self
             .instance
             .paths
@@ -174,9 +178,7 @@ impl<'a> Simulator<'a> {
         // Same multiplication order as `loss::path_delivery_probability`.
         let delivery: f64 = links.iter().map(|l| 1.0 - loss_rates[l.index()]).product();
         match self.config.transmission {
-            TransmissionModel::Exact => {
-                1.0 - delivery > self.config.path_congestion_threshold(hops)
-            }
+            TransmissionModel::Exact => 1.0 - delivery > self.thresholds[hops],
             TransmissionModel::Binomial => self.tails[hops].sample(delivery, rng),
             TransmissionModel::PerPacket => {
                 let n = self.config.packets_per_path;
@@ -190,7 +192,7 @@ impl<'a> Simulator<'a> {
                         delivered += 1;
                     }
                 }
-                1.0 - delivered as f64 / n as f64 > self.config.path_congestion_threshold(hops)
+                1.0 - delivered as f64 / n as f64 > self.thresholds[hops]
             }
         }
     }
@@ -457,6 +459,46 @@ mod tests {
                         path.links.iter().map(|l| loss_rates[l.index()]).collect();
                     1.0 - path_delivery_probability(&losses)
                         > config.path_congestion_threshold(path.len())
+                })
+                .collect();
+            expected.record_snapshot(&paths).unwrap();
+        }
+        assert_eq!(sim.run_seeded(300, 21), expected);
+    }
+
+    #[test]
+    fn binomial_mode_matches_the_summation_reference() {
+        // The bracket table changes no draw: per snapshot, link states,
+        // then loss rates, then one uniform per path decided by the pmf
+        // summation alone.
+        let inst =
+            planetlab::generate(&PlanetLabConfig::small(), &mut StdRng::seed_from_u64(17)).unwrap();
+        let mut builder = CongestionModelBuilder::new(&inst.correlation);
+        for link in 0..inst.num_links() {
+            builder = builder.independent(LinkId(link), 0.02 + 0.3 * (link % 7) as f64 / 7.0);
+        }
+        let model = builder.build().unwrap();
+        let config = SimulationConfig::default();
+        let sim = Simulator::new(&inst, &model, config).unwrap();
+        let mut expected = PathObservations::new(inst.num_paths());
+        for snapshot in 0..300 {
+            let mut rng = StdRng::seed_from_u64(snapshot_seed(21, snapshot));
+            let link_states = model.sample_state(&mut rng);
+            let loss_rates: Vec<f64> = link_states
+                .iter()
+                .map(|&congested| sample_loss_rate(&mut rng, congested, &config))
+                .collect();
+            let paths: Vec<bool> = inst
+                .paths
+                .paths()
+                .map(|path| {
+                    let losses: Vec<f64> =
+                        path.links.iter().map(|l| loss_rates[l.index()]).collect();
+                    let tail = LossTail::for_threshold(
+                        config.packets_per_path,
+                        config.path_congestion_threshold(path.len()),
+                    );
+                    tail.summation(rng.random(), path_delivery_probability(&losses))
                 })
                 .collect();
             expected.record_snapshot(&paths).unwrap();

@@ -17,7 +17,8 @@
 //!    packet survives each link independently with probability
 //!    `1 − loss rate`. (By default the packets are not walked one by one:
 //!    the path's good/congested bit is drawn from the exact binomial tail
-//!    of its loss count, see [`loss`].)
+//!    of its loss count, almost always decided by a shared table of tail
+//!    brackets, see [`loss`].)
 //! 5. A path is declared congested when its measured loss rate exceeds the
 //!    path threshold `t_p = 1 − (1 − t_l)^d`, where `d` is the path length.
 //!
