@@ -10,8 +10,7 @@ use netcorr_bench::{bench_instance, fixture};
 use netcorr_eval::figures::TopologyFamily;
 use netcorr_eval::persist;
 use netcorr_eval::scenario::CorrelationLevel;
-use netcorr_linalg::{cgls, min_l1_norm_solution, solve_least_squares, Matrix, SparseMatrix};
-use netcorr_measure::bitset::simd;
+use netcorr_linalg::{cgls, min_l1_norm_solution, Matrix, QrDecomposition, SparseMatrix};
 use netcorr_measure::reference::{ScalarEstimator, ScalarObservations};
 use netcorr_measure::{PathCounts, PathObservations, ProbabilityEstimator, StreamingEstimator};
 use netcorr_sim::{SimulationConfig, Simulator, TransmissionModel};
@@ -83,11 +82,13 @@ fn solvers(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(500));
 
-    // Dense least squares on a 120 x 80 incidence-like system.
+    // Dense least squares on a 120 x 80 incidence-like system. Its top
+    // 80 rows are upper unitriangular, so it has full column rank, like
+    // the independent rows the dense exact plan factors.
     let rows = 120;
     let cols = 80;
     let dense = Matrix::from_fn(rows, cols, |i, j| {
-        if (i * 7 + j * 13) % 11 < 3 {
+        if i == j || ((i >= cols || j > i) && (i * 7 + j * 13) % 11 < 3) {
             1.0
         } else {
             0.0
@@ -96,7 +97,11 @@ fn solvers(c: &mut Criterion) {
     let x_true: Vec<f64> = (0..cols).map(|i| -((i % 9) as f64) / 20.0).collect();
     let b = dense.matvec(&x_true).unwrap();
     group.bench_function("dense_least_squares_120x80", |bench| {
-        bench.iter(|| solve_least_squares(&dense, &b).expect("solve succeeds"))
+        bench.iter(|| {
+            QrDecomposition::new(&dense)
+                .and_then(|qr| qr.solve_least_squares(&b))
+                .expect("solve succeeds")
+        })
     });
 
     // Sparse CGLS on a 600 x 400 system.
@@ -191,27 +196,6 @@ fn estimator_queries(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("pair_queries_packed", pairs.len()), |b| {
         b.iter(|| packed_est.log_prob_pairs_good(&pairs).expect("valid pairs"))
     });
-    group.bench_function(
-        BenchmarkId::new("pair_queries_portable", pairs.len()),
-        |b| {
-            // The portable (non-SIMD) kernel tier on the same packed
-            // lanes, to isolate the AVX2 dispatch win.
-            let lanes = packed.lanes();
-            let tail = lanes.last_word_mask();
-            b.iter(|| {
-                pairs
-                    .iter()
-                    .map(|&(x, y)| {
-                        simd::pair_good_count_portable(
-                            lanes.lane(x.index()),
-                            lanes.lane(y.index()),
-                            tail,
-                        )
-                    })
-                    .sum::<usize>()
-            })
-        },
-    );
     group.bench_function(
         BenchmarkId::new("pair_queries_streaming", pairs.len()),
         |b| {

@@ -13,10 +13,8 @@
 //!   validation only) must beat the heap-copying loader
 //!   (`persist::read_observations`) by
 //!   `acceptance.zero_copy_load_speedup_floor` in
-//!   `BENCH_estimator.json`. The gate also smoke-checks
-//!   the kernel ladder: the portable tier must agree bit-exactly with
-//!   the runtime dispatcher, and the active tier is printed for the
-//!   record.
+//!   `BENCH_estimator.json`. The active popcount kernel tier is printed
+//!   for the record.
 //! * **Row selection** — the brite-paper topology (seed 42), correlation
 //!   equations: the exact sparse selection
 //!   ([`netcorr_linalg::rank::select_indicator_rows`]) must pick the
@@ -210,27 +208,10 @@ fn main() {
         std::process::exit(1);
     }
 
-    // --- Zero-copy load gate + kernel-ladder smoke check. ---
+    // --- Zero-copy load gate. ---
     println!(
-        "bench_gate: active SIMD kernel tier: {}",
+        "bench_gate: active popcount kernel tier: {}",
         simd::active_tier().as_str()
-    );
-    // The portable fallback must agree bit-exactly with whatever tier
-    // the dispatcher picked on this host — a cheap ladder sanity check
-    // before trusting the timed numbers.
-    let lanes = packed.lanes();
-    let tail = lanes.last_word_mask();
-    let (la, lb) = (lanes.lane(0), lanes.lane(1));
-    assert_eq!(
-        simd::pair_good_count(la, lb, tail),
-        simd::pair_good_count_portable(la, lb, tail),
-        "portable pair kernel disagrees with the dispatcher"
-    );
-    let refs: Vec<&[u64]> = (0..8).map(|p| lanes.lane(p)).collect();
-    assert_eq!(
-        simd::all_good_count(&refs, lanes.used_words(), tail),
-        simd::all_good_count_portable(&refs, lanes.used_words(), tail),
-        "portable all-good kernel disagrees with the dispatcher"
     );
 
     let load_floor = floor(&baseline, "zero_copy_load_speedup_floor");

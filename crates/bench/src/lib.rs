@@ -2,9 +2,9 @@
 //!
 //! Every Criterion benchmark in this crate works on *smoke-scale*
 //! topologies so the full benchmark suite runs in minutes; the paper-scale
-//! numbers reported in `EXPERIMENTS.md` come from the `netcorr-eval`
-//! binaries (`fig3`, `fig4`, `fig5`, `all_experiments`) run with
-//! `--scale paper`.
+//! numbers come from the `netcorr-eval` binaries (`fig3`, `fig4`, `fig5`,
+//! `all_experiments`) run with `--scale paper`, as README "Build, test,
+//! bench" shows.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -1,7 +1,8 @@
 //! Runs the complete evaluation (Figures 3, 4 and 5) and prints a compact
 //! summary comparing the measured numbers against the qualitative claims of
-//! the paper. The full tables are written as CSV files; `EXPERIMENTS.md`
-//! records a snapshot of this binary's output.
+//! the paper. The full tables are written as CSV files; README "Build,
+//! test, bench" shows how to run this binary and the per-figure `fig3` /
+//! `fig4` / `fig5` binaries.
 
 use netcorr_eval::cli::{usage, CliOptions, CliOutcome};
 use netcorr_eval::figures::{fig3, fig4, fig5, CdfComparison};

@@ -15,7 +15,8 @@
 //! Figures can be produced at two scales: [`Scale::Smoke`] (small
 //! topologies, used by tests and the Criterion benchmarks) and
 //! [`Scale::Paper`] (the paper's ~1500-path topologies, used by the
-//! `fig3` / `fig4` / `fig5` binaries and recorded in `EXPERIMENTS.md`).
+//! `fig3` / `fig4` / `fig5` / `all_experiments` binaries; README "Build,
+//! test, bench" shows how to run them).
 
 pub mod fig3;
 pub mod fig4;

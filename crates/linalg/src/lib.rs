@@ -13,11 +13,8 @@
 //! without any external numerical dependency:
 //!
 //! * [`Matrix`] — a dense, row-major, `f64` matrix with the usual algebra.
-//! * [`lu`] — LU factorisation with partial pivoting (square solves,
-//!   determinants, inverses).
-//! * [`qr`] — Householder QR factorisation (least-squares solves).
-//! * [`lstsq`] — a driver that picks the right solver for the shape/rank of
-//!   the system.
+//! * [`qr`] — Householder QR factorisation (least-squares solves of
+//!   full-column-rank systems; the dense exact solver plan).
 //! * [`rank`] — exact greedy selection of a linearly-independent subset
 //!   of 0/1 rows, with the columns they identify (used by the solver to
 //!   keep only independent measurements), plus its Gram–Schmidt oracle.
@@ -36,8 +33,6 @@
 
 pub mod error;
 pub mod l1;
-pub mod lstsq;
-pub mod lu;
 pub mod matrix;
 pub mod norms;
 pub mod qr;
@@ -47,8 +42,6 @@ pub mod sparse;
 
 pub use error::LinalgError;
 pub use l1::{min_l1_norm_solution, min_l1_norm_solution_nonneg};
-pub use lstsq::{solve_least_squares, LeastSquaresSolution};
-pub use lu::LuDecomposition;
 pub use matrix::Matrix;
 pub use qr::QrDecomposition;
 pub use simplex::{LinearProgram, LpSolution, LpStatus};

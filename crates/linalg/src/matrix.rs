@@ -96,24 +96,6 @@ impl Matrix {
         m
     }
 
-    /// Creates a column vector (an `n × 1` matrix) from a slice.
-    pub fn column_vector(values: &[f64]) -> Self {
-        Matrix {
-            rows: values.len(),
-            cols: 1,
-            data: values.to_vec(),
-        }
-    }
-
-    /// Creates a diagonal matrix with the given diagonal entries.
-    pub fn diagonal(values: &[f64]) -> Self {
-        let mut m = Matrix::zeros(values.len(), values.len());
-        for (i, &v) in values.iter().enumerate() {
-            m[(i, i)] = v;
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -127,11 +109,6 @@ impl Matrix {
     /// Returns `true` if the matrix has no entries.
     pub fn is_empty(&self) -> bool {
         self.rows == 0 || self.cols == 0
-    }
-
-    /// Returns `true` if the matrix is square.
-    pub fn is_square(&self) -> bool {
-        self.rows == self.cols
     }
 
     /// Returns the raw row-major data slice.
@@ -229,20 +206,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Multiplies every entry by a scalar, in place.
-    pub fn scale_in_place(&mut self, s: f64) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-    }
-
-    /// Returns a new matrix scaled by `s`.
-    pub fn scaled(&self, s: f64) -> Matrix {
-        let mut m = self.clone();
-        m.scale_in_place(s);
-        m
-    }
-
     /// Swaps rows `a` and `b` in place.
     ///
     /// # Panics
@@ -290,11 +253,6 @@ impl Matrix {
                 .copy_from_slice(&self.data[i * self.cols..(i + 1) * self.cols]);
         }
         out
-    }
-
-    /// Frobenius norm of the matrix.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute entry.
@@ -537,23 +495,12 @@ mod tests {
     #[test]
     fn norms_and_finiteness() {
         let m = Matrix::from_row_slice(1, 2, &[3.0, 4.0]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(m.max_abs(), 4.0);
         assert!(m.all_finite());
 
         let mut bad = m.clone();
         bad[(0, 0)] = f64::NAN;
         assert!(!bad.all_finite());
-    }
-
-    #[test]
-    fn diagonal_and_column_vector() {
-        let d = Matrix::diagonal(&[1.0, 2.0, 3.0]);
-        assert_eq!(d[(2, 2)], 3.0);
-        assert_eq!(d[(0, 1)], 0.0);
-        let v = Matrix::column_vector(&[7.0, 8.0]);
-        assert_eq!(v.rows(), 2);
-        assert_eq!(v.cols(), 1);
     }
 
     #[test]

@@ -20,11 +20,6 @@ pub fn l2_norm(x: &[f64]) -> f64 {
     x.iter().map(|v| v * v).sum::<f64>().sqrt()
 }
 
-/// L∞ norm (maximum absolute value); 0 for an empty slice.
-pub fn linf_norm(x: &[f64]) -> f64 {
-    x.iter().fold(0.0, |acc, v| acc.max(v.abs()))
-}
-
 /// Component-wise `a - b`.
 ///
 /// # Panics
@@ -33,21 +28,6 @@ pub fn linf_norm(x: &[f64]) -> f64 {
 pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
     assert_eq!(a.len(), b.len(), "subtraction length mismatch");
     a.iter().zip(b.iter()).map(|(x, y)| x - y).collect()
-}
-
-/// Component-wise `a + b`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn add(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "addition length mismatch");
-    a.iter().zip(b.iter()).map(|(x, y)| x + y).collect()
-}
-
-/// Scales a slice by `s`, returning a new vector.
-pub fn scale(a: &[f64], s: f64) -> Vec<f64> {
-    a.iter().map(|x| x * s).collect()
 }
 
 /// Returns `true` if all entries are finite.
@@ -81,15 +61,11 @@ mod tests {
         let v = [3.0, -4.0];
         assert_eq!(l1_norm(&v), 7.0);
         assert!((l2_norm(&v) - 5.0).abs() < 1e-12);
-        assert_eq!(linf_norm(&v), 4.0);
-        assert_eq!(linf_norm(&[]), 0.0);
     }
 
     #[test]
     fn elementwise_ops() {
-        assert_eq!(add(&[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
         assert_eq!(sub(&[1.0, 2.0], &[3.0, 4.0]), vec![-2.0, -2.0]);
-        assert_eq!(scale(&[1.0, -2.0], 3.0), vec![3.0, -6.0]);
     }
 
     #[test]

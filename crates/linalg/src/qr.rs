@@ -335,9 +335,9 @@ mod tests {
         let r = qr.r();
         assert_eq!(r.rows(), 2);
         assert_eq!(r.cols(), 2);
-        // |det R| = sqrt(det (AᵀA))
+        // |det R| = sqrt(det (AᵀA)), with the 2×2 determinant in closed form.
         let ata = a.transpose().matmul(&a).unwrap();
-        let det_ata = crate::lu::LuDecomposition::new(&ata).unwrap().determinant();
+        let det_ata = ata[(0, 0)] * ata[(1, 1)] - ata[(0, 1)] * ata[(1, 0)];
         let det_r = r[(0, 0)] * r[(1, 1)];
         assert!((det_r.abs() - det_ata.sqrt()).abs() < 1e-9);
     }

@@ -543,8 +543,11 @@ mod tests {
         let b = [0.9, 3.2, 4.9, 7.3];
         let sparse_sol = cgls(&m, &b, 0.0, 500, 1e-14).unwrap();
         let dense = crate::Matrix::from_rows(&rows).unwrap();
-        let dense_sol = crate::lstsq::solve_least_squares(&dense, &b).unwrap();
-        assert!(approx_eq(&sparse_sol.x, &dense_sol.x, 1e-6));
+        let dense_x = crate::QrDecomposition::new(&dense)
+            .unwrap()
+            .solve_least_squares(&b)
+            .unwrap();
+        assert!(approx_eq(&sparse_sol.x, &dense_x, 1e-6));
     }
 
     #[test]

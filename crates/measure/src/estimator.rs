@@ -17,8 +17,8 @@
 //! probabilities, the same code for the streaming estimator):
 //!
 //! * joint-good counts AND the complemented lanes and popcount the result
-//!   (64 snapshots per word), through the SIMD kernel ladder in
-//!   [`crate::bitset::simd`] (AVX-512 → AVX2 → portable, chosen per call);
+//!   (64 snapshots per word), through the 4-wide unrolled popcount
+//!   kernels in [`crate::bitset::simd`];
 //! * exact-state counts AND the pattern's member lanes first, then sweep
 //!   every word that still has candidates across the complemented
 //!   non-member lanes, leaving it as soon as no snapshot in it can match;
@@ -124,7 +124,7 @@ impl<'a> ProbabilityEstimator<'a> {
     /// Number of snapshots in which *all* the given paths were good:
     /// popcount of the AND of the complemented lanes (the tail of the last
     /// word is masked because complementing turns the zero padding into
-    /// ones), through the SIMD kernel ladder of [`simd`].
+    /// ones), through the popcount kernels of [`simd`].
     pub fn all_good_count(&self, paths: &[PathId]) -> Result<usize, MeasureError> {
         for &p in paths {
             check_path(p, self.num_paths())?;

@@ -32,11 +32,9 @@
 //!   mapped words (no word copy). The streaming estimator can seed its
 //!   accumulators from a mapped history segment, which is how the
 //!   daemon survives restarts without re-ingesting its stream.
-//! * [`bitset::simd`] — the SIMD kernel ladder behind the joint-goodness
-//!   queries: AVX-512 `vpopcntdq` kernels (8 words/instruction), AVX2
-//!   popcount kernels (4 words/instruction), and a 4-wide unrolled
-//!   portable fallback, selected per call by runtime feature detection
-//!   and all bit-exact against each other and the scalar reference.
+//! * [`bitset::simd`] — the popcount kernels behind the joint-goodness
+//!   queries: safe, 4-wide unrolled scalar code, bit-exact against the
+//!   scalar reference.
 //! * [`mod@reference`] — the scalar (one-`bool`-per-cell) implementation kept
 //!   as the executable specification; the differential property tests
 //!   assert bit-exact agreement between it and the packed estimator.
@@ -46,11 +44,9 @@
 //! experiments.
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`: the SIMD kernel tiers in `bitset::simd`
-// (runtime feature detection guards every `#[target_feature]` call), the
-// raw mmap binding in `mapped`, and the byte→word reinterpretation in
-// `ProbabilityEstimator::parse` are the explicitly allowed `unsafe`
-// islands in this crate.
+// `deny` rather than `forbid`: the raw mmap binding in `mapped` and the
+// byte↔word reinterpretations in `estimator` are the explicitly allowed
+// `unsafe` islands in this crate.
 #![deny(unsafe_code)]
 
 pub mod bitset;

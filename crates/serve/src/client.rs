@@ -622,7 +622,7 @@ mod tests {
         // `history` must not swallow `history_snapshots` / `history_bytes`
         // (the `=` requirement after the key prevents prefix matches).
         let payload =
-            "kernel=avx512 history=mmap:/var/lib/netcorr/history.ncobs3 history_snapshots=57 \
+            "kernel=portable history=mmap:/var/lib/netcorr/history.ncobs3 history_snapshots=57 \
              history_bytes=1464";
         assert_eq!(
             text_field(payload, "history").unwrap(),
@@ -636,7 +636,7 @@ mod tests {
             parse_field::<usize>(payload, "history_bytes").unwrap(),
             1464
         );
-        assert_eq!(text_field(payload, "kernel").unwrap(), "avx512");
+        assert_eq!(text_field(payload, "kernel").unwrap(), "portable");
         let (backing, path) = text_field(payload, "history")
             .unwrap()
             .split_once(':')

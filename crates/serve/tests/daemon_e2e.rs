@@ -225,7 +225,7 @@ fn restarted_daemon_reloads_mmap_history_and_answers_bit_identically() {
     assert_eq!(h.path, history_arg);
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     assert_eq!(h.backing, "mmap", "reload is served from the mapping");
-    assert!(["avx512", "avx2", "portable"].contains(&status.kernel.as_str()));
+    assert_eq!(status.kernel, "portable");
 
     let (ingested, total) = client.ingest(&slice_block(&observations, 57..140)).unwrap();
     assert_eq!(ingested, 83);

@@ -65,8 +65,10 @@
 //! ```
 //!
 //! See the `examples/` directory for end-to-end scenarios (LAN monitoring,
-//! inter-domain SLA monitoring, unknown correlation patterns) and
-//! `EXPERIMENTS.md` for the reproduction of the paper's evaluation.
+//! inter-domain SLA monitoring, unknown correlation patterns). The
+//! `netcorr-eval` binaries `fig3`, `fig4`, `fig5` and `all_experiments`
+//! reproduce the paper's evaluation; README "Build, test, bench" shows how
+//! to run them.
 
 pub use netcorr_core as core;
 pub use netcorr_eval as eval;

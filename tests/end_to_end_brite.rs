@@ -35,7 +35,8 @@ fn correlation_algorithm_outperforms_the_baseline_under_ideal_conditions() {
     // The correlation algorithm is accurate in absolute terms...
     assert!(corr.mean < 0.10, "correlation mean error {}", corr.mean);
     // ...and at least as good as the independence baseline (up to a small
-    // noise margin; the paper-scale runs in EXPERIMENTS.md show the gap).
+    // noise margin; the paper-scale `fig3` / `fig4` / `fig5` /
+    // `all_experiments` runs in README "Build, test, bench" show the gap).
     assert!(
         corr.mean <= indep.mean + 0.01,
         "correlation {} vs independence {}",
