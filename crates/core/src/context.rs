@@ -580,6 +580,32 @@ mod tests {
     }
 
     #[test]
+    fn rhs_from_a_counters_only_estimator_is_bit_identical() {
+        let inst = fig1a_instance();
+        let obs = simulate(&inst, 1_500, 37);
+        let ctx = InferenceContext::new(&inst, &AlgorithmConfig::default()).unwrap();
+        let mut lanes = StreamingEstimator::new(inst.num_paths());
+        let mut counters = StreamingEstimator::counters_only(inst.num_paths());
+        lanes.register_pairs(ctx.structure().pairs()).unwrap();
+        counters.register_pairs(ctx.structure().pairs()).unwrap();
+        let bits = |rhs: Vec<f64>| rhs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (i, snapshot) in obs.snapshots().enumerate() {
+            lanes.push_snapshot(&snapshot).unwrap();
+            counters.push_snapshot(&snapshot).unwrap();
+            if i % 100 == 99 {
+                assert_eq!(
+                    bits(ctx.rhs(&counters).unwrap()),
+                    bits(ctx.rhs(&lanes).unwrap()),
+                    "after {} snapshots",
+                    i + 1
+                );
+            }
+        }
+        assert_eq!(counters.num_snapshots(), obs.num_snapshots());
+        assert!(counters.observations().is_empty());
+    }
+
+    #[test]
     fn context_cache_shares_contexts_per_exact_identity() {
         let inst = fig1a_instance();
         let config = AlgorithmConfig::default();

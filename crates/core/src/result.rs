@@ -38,7 +38,9 @@ pub struct Diagnostics {
     /// Number of links that appear in no usable equation (their estimate
     /// comes purely from the regularisation / minimum-norm choice).
     pub uncovered_links: usize,
-    /// Iterations spent by the iterative solver (0 for the direct paths).
+    /// Solver work: CGLS iterations on the sparse plan, simplex pivots on
+    /// the minimum-L1 plan (both LPs when the sign-constrained one is
+    /// infeasible), 0 for the direct factored path.
     pub iterations: usize,
 }
 

@@ -39,7 +39,7 @@ use netcorr_linalg::{
     l1::min_l1_norm_solution_nonneg,
     norms,
     rank::{select_indicator_rows, IndicatorSelection},
-    BlockedSparseMatrix, LinalgError, Matrix, QrDecomposition, SparseMatrix,
+    BlockedSparseMatrix, LpStatus, Matrix, QrDecomposition, SparseMatrix,
 };
 
 use crate::equations::{EquationSource, EquationSystem};
@@ -99,7 +99,9 @@ pub struct SolveOutcome {
     pub used_pair: usize,
     /// Whether fewer independent equations than unknowns were available.
     pub underdetermined: bool,
-    /// Iterations spent by the iterative solver (0 for the direct paths).
+    /// Solver work: CGLS iterations on the sparse plan, simplex pivots
+    /// (summed over both LPs when the sign-constrained one is infeasible)
+    /// on the minimum-L1 plan, 0 for the direct factored paths.
     pub iterations: usize,
 }
 
@@ -255,20 +257,24 @@ impl PreparedSolve {
                 (qr.solve_least_squares(&b).map_err(CoreError::Numerical)?, 0)
             }
             // Exact minimum-L1-norm LP. Substitute `z = -x ≥ 0`, so the
-            // constraints become `A z = -b` with `z ≥ 0`.
+            // constraints become `A z = -b` with `z ≥ 0`. The reported
+            // iterations are the simplex pivots of every LP solved.
             SolvePlan::DenseL1 { a } => {
                 let neg_b: Vec<f64> = b.iter().map(|v| -v).collect();
-                let x = match min_l1_norm_solution_nonneg(a, &neg_b) {
-                    Ok(z) => z.into_iter().map(|v| -v).collect(),
+                let signed =
+                    min_l1_norm_solution_nonneg(a, &neg_b).map_err(CoreError::Numerical)?;
+                if signed.status == LpStatus::Infeasible {
                     // Measurement noise can make the sign-constrained
                     // program infeasible; fall back to the free-sign
                     // formulation.
-                    Err(LinalgError::Infeasible) => {
-                        min_l1_norm_solution(a, &b).map_err(CoreError::Numerical)?
-                    }
-                    Err(e) => return Err(CoreError::Numerical(e)),
-                };
-                (x, 0)
+                    let free = min_l1_norm_solution(a, &b).map_err(CoreError::Numerical)?;
+                    let pivots = signed.iterations + free.iterations;
+                    (free.into_optimal().map_err(CoreError::Numerical)?, pivots)
+                } else {
+                    let pivots = signed.iterations;
+                    let z = signed.into_optimal().map_err(CoreError::Numerical)?;
+                    (z.into_iter().map(|v| -v).collect(), pivots)
+                }
             }
             // Sparse CGLS plus a small ridge; a cold start (`None`) is
             // bit-identical to the plain `cgls` entry point.
@@ -393,7 +399,7 @@ pub fn solve_equations(
 mod tests {
     use super::*;
     use crate::equations::EquationSource;
-    use netcorr_linalg::SparseMatrix;
+    use netcorr_linalg::{LinalgError, SparseMatrix};
     use netcorr_topology::path::PathId;
 
     /// Builds an equation system by hand: the Figure 1(a) system of

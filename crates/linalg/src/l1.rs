@@ -16,18 +16,22 @@
 //! * [`min_l1_norm_solution_nonneg`] — variables constrained to be
 //!   non-negative (used with the substitution `z = −x` for
 //!   log-probabilities).
+//!
+//! Both return the program's [`LpSolution`] over the caller's variables,
+//! so the pivots spent are reported whatever the status — also when an
+//! infeasible program sends the caller on to another formulation.
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
-use crate::simplex::{LinearProgram, LpStatus};
+use crate::simplex::{LinearProgram, LpSolution, LpStatus};
 
 /// Solves `min ‖x‖₁ subject to A x = b` with free-sign `x`.
 ///
 /// The variables are split into positive and negative parts `x = u − v`
-/// with `u, v ≥ 0` and the LP `min Σ(u + v)` is solved. The equations must
-/// be consistent (e.g. linearly independent rows with at least one
-/// solution); otherwise [`LinalgError::Infeasible`] is returned.
-pub fn min_l1_norm_solution(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+/// with `u, v ≥ 0` and the LP `min Σ(u + v)` is solved; an optimal
+/// solution's `x` is `u − v`. Inconsistent equations give
+/// [`LpStatus::Infeasible`] (see [`LpSolution::into_optimal`]).
+pub fn min_l1_norm_solution(a: &Matrix, b: &[f64]) -> Result<LpSolution, LinalgError> {
     if a.rows() != b.len() {
         return Err(LinalgError::DimensionMismatch {
             operation: "min_l1_norm_solution",
@@ -47,23 +51,19 @@ pub fn min_l1_norm_solution(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgErr
     }
     let objective = vec![1.0; 2 * n];
     let lp = LinearProgram::new(objective, constraints, b.to_vec())?;
-    let sol = lp.solve()?;
-    match sol.status {
-        LpStatus::Optimal => {
-            let x = (0..n).map(|j| sol.x[j] - sol.x[n + j]).collect();
-            Ok(x)
-        }
-        LpStatus::Infeasible => Err(LinalgError::Infeasible),
-        LpStatus::Unbounded => Err(LinalgError::Unbounded),
+    let mut sol = lp.solve()?;
+    if sol.status == LpStatus::Optimal {
+        sol.x = (0..n).map(|j| sol.x[j] - sol.x[n + j]).collect();
     }
+    Ok(sol)
 }
 
 /// Solves `min Σ x subject to A x = b, x ≥ 0`.
 ///
 /// For non-negative variables the L1 norm is simply the sum, so no variable
-/// splitting is needed. Returns [`LinalgError::Infeasible`] if no
+/// splitting is needed. The status is [`LpStatus::Infeasible`] if no
 /// non-negative solution exists.
-pub fn min_l1_norm_solution_nonneg(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+pub fn min_l1_norm_solution_nonneg(a: &Matrix, b: &[f64]) -> Result<LpSolution, LinalgError> {
     if a.rows() != b.len() {
         return Err(LinalgError::DimensionMismatch {
             operation: "min_l1_norm_solution_nonneg",
@@ -72,13 +72,7 @@ pub fn min_l1_norm_solution_nonneg(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, Li
         });
     }
     let objective = vec![1.0; a.cols()];
-    let lp = LinearProgram::new(objective, a.clone(), b.to_vec())?;
-    let sol = lp.solve()?;
-    match sol.status {
-        LpStatus::Optimal => Ok(sol.x),
-        LpStatus::Infeasible => Err(LinalgError::Infeasible),
-        LpStatus::Unbounded => Err(LinalgError::Unbounded),
-    }
+    LinearProgram::new(objective, a.clone(), b.to_vec())?.solve()
 }
 
 #[cfg(test)]
@@ -86,12 +80,16 @@ mod tests {
     use super::*;
     use crate::norms::{approx_eq, l1_norm};
 
+    fn optimal_x(a: &Matrix, b: &[f64]) -> Vec<f64> {
+        min_l1_norm_solution(a, b).unwrap().into_optimal().unwrap()
+    }
+
     #[test]
     fn recovers_sparse_solution_of_underdetermined_system() {
         // One equation, two unknowns: x1 + 2 x2 = 2.
         // Minimum-L1 solution is x = (0, 1) with ‖x‖₁ = 1 (vs (2, 0) with 2).
         let a = Matrix::from_rows(&[vec![1.0, 2.0]]).unwrap();
-        let x = min_l1_norm_solution(&a, &[2.0]).unwrap();
+        let x = optimal_x(&a, &[2.0]);
         assert!(approx_eq(&x, &[0.0, 1.0], 1e-7), "got {x:?}");
     }
 
@@ -100,7 +98,7 @@ mod tests {
         // Two equations, four unknowns.
         let a = Matrix::from_rows(&[vec![1.0, 1.0, 0.0, 0.0], vec![0.0, 1.0, 1.0, 1.0]]).unwrap();
         let b = [1.0, 2.0];
-        let x = min_l1_norm_solution(&a, &b).unwrap();
+        let x = optimal_x(&a, &b);
         let ax = a.matvec(&x).unwrap();
         assert!(approx_eq(&ax, &b, 1e-7), "Ax = {ax:?}");
         // Any feasible point has ‖x‖₁ >= the optimum; check against one
@@ -114,7 +112,7 @@ mod tests {
         // x1 + x2 = -3: the minimum-L1 solution puts everything on one
         // variable with a negative value.
         let a = Matrix::from_rows(&[vec![1.0, 1.0]]).unwrap();
-        let x = min_l1_norm_solution(&a, &[-3.0]).unwrap();
+        let x = optimal_x(&a, &[-3.0]);
         assert!((l1_norm(&x) - 3.0).abs() < 1e-7);
         assert!((x[0] + x[1] + 3.0).abs() < 1e-7);
     }
@@ -122,32 +120,35 @@ mod tests {
     #[test]
     fn square_consistent_system_returns_exact_solution() {
         let a = Matrix::from_rows(&[vec![2.0, 0.0], vec![0.0, 4.0]]).unwrap();
-        let x = min_l1_norm_solution(&a, &[2.0, -8.0]).unwrap();
+        let x = optimal_x(&a, &[2.0, -8.0]);
         assert!(approx_eq(&x, &[1.0, -2.0], 1e-7));
     }
 
     #[test]
     fn inconsistent_system_is_infeasible() {
         let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0]]).unwrap();
-        assert_eq!(
-            min_l1_norm_solution(&a, &[1.0, 2.0]),
-            Err(LinalgError::Infeasible)
-        );
+        let sol = min_l1_norm_solution(&a, &[1.0, 2.0]).unwrap();
+        assert_eq!(sol.status, LpStatus::Infeasible);
+        assert!(sol.iterations > 0, "phase 1 pivots are reported");
+        assert_eq!(sol.into_optimal(), Err(LinalgError::Infeasible));
     }
 
     #[test]
     fn nonneg_variant_respects_sign_constraint() {
         // x1 - x2 = 1, x >= 0: minimum-sum solution is (1, 0).
         let a = Matrix::from_rows(&[vec![1.0, -1.0]]).unwrap();
-        let x = min_l1_norm_solution_nonneg(&a, &[1.0]).unwrap();
+        let x = min_l1_norm_solution_nonneg(&a, &[1.0])
+            .unwrap()
+            .into_optimal()
+            .unwrap();
         assert!(approx_eq(&x, &[1.0, 0.0], 1e-7));
         // b = -1 has no non-negative solution with this single equation
         // where only x2 could help: x1 - x2 = -1 -> x2 = 1 + x1 works, so it
         // IS feasible; check a genuinely infeasible one instead.
         let a2 = Matrix::from_rows(&[vec![1.0, 1.0]]).unwrap();
         assert_eq!(
-            min_l1_norm_solution_nonneg(&a2, &[-1.0]),
-            Err(LinalgError::Infeasible)
+            min_l1_norm_solution_nonneg(&a2, &[-1.0]).unwrap().status,
+            LpStatus::Infeasible
         );
     }
 
@@ -177,7 +178,7 @@ mod tests {
         .unwrap();
         let sparse = [2.0, 0.0, 0.0, 0.0, 0.0, 1.5, 0.0, 0.0];
         let b = a.matvec(&sparse).unwrap();
-        let x = min_l1_norm_solution(&a, &b).unwrap();
+        let x = optimal_x(&a, &b);
         assert!(approx_eq(&a.matvec(&x).unwrap(), &b, 1e-6));
         assert!(l1_norm(&x) <= l1_norm(&sparse) + 1e-6);
     }

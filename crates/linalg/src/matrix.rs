@@ -111,11 +111,6 @@ impl Matrix {
         self.rows == 0 || self.cols == 0
     }
 
-    /// Returns the raw row-major data slice.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
     /// Returns a copy of row `i`.
     ///
     /// # Panics
@@ -136,18 +131,14 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Returns a copy of column `j`.
+    /// Returns row `i` as a mutable slice.
     ///
     /// # Panics
     ///
-    /// Panics if `j >= self.cols()`.
-    pub fn column(&self, j: usize) -> Vec<f64> {
-        assert!(
-            j < self.cols,
-            "column index {j} out of bounds ({})",
-            self.cols
-        );
-        (0..self.rows).map(|i| self[(i, j)]).collect()
+    /// Panics if `i >= self.rows()`.
+    pub(crate) fn row_slice_mut(&mut self, i: usize) -> &mut [f64] {
+        assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
+        &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Returns the transpose of the matrix.
@@ -238,21 +229,6 @@ impl Matrix {
         self.data.extend_from_slice(row);
         self.rows += 1;
         Ok(())
-    }
-
-    /// Returns the sub-matrix made of the given rows (in the given order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn select_rows(&self, indices: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(indices.len(), self.cols);
-        for (new_i, &i) in indices.iter().enumerate() {
-            assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
-            out.data[new_i * self.cols..(new_i + 1) * self.cols]
-                .copy_from_slice(&self.data[i * self.cols..(i + 1) * self.cols]);
-        }
-        out
     }
 
     /// Maximum absolute entry.
@@ -383,7 +359,7 @@ mod tests {
         let z = Matrix::zeros(2, 3);
         assert_eq!(z.rows(), 2);
         assert_eq!(z.cols(), 3);
-        assert!(z.as_slice().iter().all(|&v| v == 0.0));
+        assert!((0..2).all(|i| z.row_slice(i).iter().all(|&v| v == 0.0)));
 
         let i = Matrix::identity(3);
         assert_eq!(i[(0, 0)], 1.0);
@@ -464,13 +440,10 @@ mod tests {
     }
 
     #[test]
-    fn rows_columns_and_selection() {
+    fn row_copies_and_slices() {
         let a = Matrix::from_row_slice(3, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
         assert_eq!(a.row(1), vec![3.0, 4.0]);
-        assert_eq!(a.column(1), vec![2.0, 4.0, 6.0]);
-        let sel = a.select_rows(&[2, 0]);
-        assert_eq!(sel.row(0), vec![5.0, 6.0]);
-        assert_eq!(sel.row(1), vec![1.0, 2.0]);
+        assert_eq!(a.row_slice(2), &[5.0, 6.0]);
     }
 
     #[test]

@@ -202,7 +202,7 @@ proptest! {
             return Ok(());
         }
         let b = a.matvec(&x_ref).unwrap();
-        let x = min_l1_norm_solution(&a, &b).unwrap();
+        let x = min_l1_norm_solution(&a, &b).unwrap().into_optimal().unwrap();
         let residual = l2_norm(&sub(&a.matvec(&x).unwrap(), &b));
         prop_assert!(residual < 1e-5, "residual {residual}");
         prop_assert!(l1_norm(&x) <= l1_norm(&x_ref) + 1e-5);

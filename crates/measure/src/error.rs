@@ -32,6 +32,10 @@ pub enum MeasureError {
     /// attached twice, attached after snapshots were already recorded,
     /// or a delta-only operation was requested while one is attached).
     History(String),
+    /// A counters-only streaming estimator was asked for something only
+    /// snapshot lanes can answer: registering a pair or pattern after
+    /// snapshots were pushed, or batch estimation.
+    NoLanes(String),
 }
 
 impl fmt::Display for MeasureError {
@@ -56,6 +60,9 @@ impl fmt::Display for MeasureError {
             }
             MeasureError::History(reason) => {
                 write!(f, "history segment misuse: {reason}")
+            }
+            MeasureError::NoLanes(reason) => {
+                write!(f, "counters-only estimator keeps no snapshots: {reason}")
             }
         }
     }

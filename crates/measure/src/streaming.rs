@@ -31,9 +31,16 @@
 //! same provided methods, bit-exact with the batch estimator (both sides
 //! count integers and divide by the same `N`). Querying a pair or pattern
 //! that was never registered is an [`MeasureError::Unregistered`] error.
-//! The estimator also keeps the full bit-packed [`PathObservations`]
-//! store, so ad-hoc queries outside the registered set can always fall
-//! back to the batch estimator ([`StreamingEstimator::batch`]).
+//!
+//! By default the estimator also records every snapshot in a bit-packed
+//! [`PathObservations`] store, so ad-hoc queries outside the registered
+//! set can fall back to the batch estimator
+//! ([`StreamingEstimator::batch`]) and late registrations can catch up.
+//! A caller that registers everything up front and never asks for those
+//! builds it with [`StreamingEstimator::counters_only`]: no lanes, so its
+//! memory does not grow with the stream, and a registration after the
+//! first push is an [`MeasureError::NoLanes`] error rather than a count
+//! that silently misses the earlier snapshots.
 //!
 //! # Mapped history segments
 //!
@@ -80,8 +87,14 @@ fn pack_snapshot(width: usize, set_bits: impl IntoIterator<Item = usize>) -> Vec
 #[derive(Debug, Clone)]
 pub struct StreamingEstimator {
     /// The owned *delta* store: snapshots pushed since construction (or
-    /// since the attached history segment ended).
+    /// since the attached history segment ended). Stays empty on a
+    /// counters-only estimator.
     observations: PathObservations,
+    /// Whether pushed snapshots are recorded in `observations`.
+    keeps_lanes: bool,
+    /// Snapshots in the delta (pushed, or wrapped by
+    /// [`StreamingEstimator::from_observations`]), recorded or not.
+    delta: usize,
     /// Optional immutable base segment served from a mapped v3 file;
     /// accumulators cover base + delta.
     base: Option<MappedObservations>,
@@ -115,6 +128,8 @@ impl StreamingEstimator {
     pub fn with_capacity(num_paths: usize, snapshots: usize) -> Self {
         StreamingEstimator {
             observations: PathObservations::with_capacity(num_paths, snapshots),
+            keeps_lanes: true,
+            delta: 0,
             base: None,
             congested: vec![0; num_paths],
             pairs: Vec::new(),
@@ -124,6 +139,19 @@ impl StreamingEstimator {
             pattern_index: BTreeMap::new(),
             pattern_masks: Vec::new(),
             pattern_matches: Vec::new(),
+        }
+    }
+
+    /// Creates an empty estimator that keeps only its accumulators: pushed
+    /// snapshots update the counters and are not stored, so memory stays
+    /// flat however long the stream runs. Register every pair and pattern
+    /// before the first push; a later registration, and
+    /// [`StreamingEstimator::batch`], error with [`MeasureError::NoLanes`].
+    /// A history segment can still be attached before the first push.
+    pub fn counters_only(num_paths: usize) -> Self {
+        StreamingEstimator {
+            keeps_lanes: false,
+            ..Self::new(num_paths)
         }
     }
 
@@ -139,6 +167,8 @@ impl StreamingEstimator {
         StreamingEstimator {
             congested,
             all_good,
+            keeps_lanes: true,
+            delta: observations.num_snapshots(),
             observations,
             base: None,
             pairs: Vec::new(),
@@ -158,7 +188,7 @@ impl StreamingEstimator {
     /// Number of snapshots recorded so far (attached history segment
     /// included).
     pub fn num_snapshots(&self) -> usize {
-        self.base_snapshots() + self.observations.num_snapshots()
+        self.base_snapshots() + self.delta
     }
 
     /// Returns `true` if no snapshots have been recorded (and no history
@@ -177,6 +207,7 @@ impl StreamingEstimator {
     /// since [`StreamingEstimator::attach_history`]; merge it onto
     /// [`StreamingEstimator::base`] with
     /// [`ProbabilityEstimator::merged_binary`] for the full record.
+    /// Always empty on a counters-only estimator.
     pub fn observations(&self) -> &PathObservations {
         &self.observations
     }
@@ -186,8 +217,14 @@ impl StreamingEstimator {
     /// [`MeasureError::History`] when a mapped history segment is
     /// attached: the batch estimator borrows the owned store, which then
     /// holds only the delta, and serving partial-history probabilities
-    /// would silently disagree with the streaming counters.
+    /// would silently disagree with the streaming counters; and with
+    /// [`MeasureError::NoLanes`] on a counters-only estimator.
     pub fn batch(&self) -> Result<ProbabilityEstimator<'_>, MeasureError> {
+        if !self.keeps_lanes {
+            return Err(MeasureError::NoLanes(
+                "batch estimation needs the snapshots".to_string(),
+            ));
+        }
         if self.base.is_some() {
             return Err(MeasureError::History(
                 "batch estimation over the owned store is unavailable while a mapped history \
@@ -203,10 +240,28 @@ impl StreamingEstimator {
         self.base.as_ref()
     }
 
-    /// Snapshots recorded in the owned delta store (excludes the attached
-    /// history segment).
+    /// Snapshots pushed on top of the attached history segment (all of
+    /// them without one), whether or not their lanes are kept.
     pub fn delta_snapshots(&self) -> usize {
-        self.observations.num_snapshots()
+        self.delta
+    }
+
+    /// The summed lane counts of a late registration: errors on a
+    /// counters-only estimator once snapshots were pushed, because their
+    /// lanes are gone.
+    fn catch_up(
+        &self,
+        what: impl FnOnce() -> String,
+        count: impl Fn(&ProbabilityEstimator<'_>) -> Result<usize, MeasureError>,
+    ) -> Result<usize, MeasureError> {
+        if !self.keeps_lanes && self.delta > 0 {
+            return Err(MeasureError::NoLanes(format!(
+                "cannot register {} after {} snapshots were pushed",
+                what(),
+                self.delta
+            )));
+        }
+        self.segments().map(|segment| count(&segment)).sum()
     }
 
     /// Estimators over the attached base segment (if any) and the owned
@@ -233,10 +288,10 @@ impl StreamingEstimator {
                 "a history segment is already attached".to_string(),
             ));
         }
-        if !self.observations.is_empty() {
+        if self.delta != 0 {
             return Err(MeasureError::History(format!(
                 "cannot attach a history segment after {} snapshots were already recorded",
-                self.observations.num_snapshots()
+                self.delta
             )));
         }
         if history.num_paths() != self.num_paths() {
@@ -273,7 +328,8 @@ impl StreamingEstimator {
     /// each slot directly. Idempotent; the pair is normalized, so `(a, b)`
     /// and `(b, a)` return the same handle. If snapshots were already
     /// recorded, the accumulator is initialised with one catch-up kernel
-    /// sweep over the two lanes (of the base segment and of the delta).
+    /// sweep over the two lanes (of the base segment and of the delta);
+    /// a counters-only estimator can catch up from a base segment only.
     pub fn register_pair(&mut self, a: PathId, b: PathId) -> Result<usize, MeasureError> {
         check_path(a, self.num_paths())?;
         check_path(b, self.num_paths())?;
@@ -281,10 +337,10 @@ impl StreamingEstimator {
         if let Some(&handle) = self.pair_index.get(&key) {
             return Ok(handle);
         }
-        let count = self
-            .segments()
-            .map(|segment| segment.all_good_count(&[key.0, key.1]))
-            .sum::<Result<usize, _>>()?;
+        let count = self.catch_up(
+            || format!("pair ({:?}, {:?})", key.0, key.1),
+            |segment| segment.all_good_count(&[key.0, key.1]),
+        )?;
         let handle = self.pair_good.len();
         self.pair_index.insert(key, handle);
         self.pairs.push(key);
@@ -320,10 +376,10 @@ impl StreamingEstimator {
         if self.pattern_index.contains_key(pattern) {
             return Ok(());
         }
-        let count = self
-            .segments()
-            .map(|segment| segment.pattern_count(pattern))
-            .sum::<Result<usize, _>>()?;
+        let count = self.catch_up(
+            || format!("pattern {pattern:?}"),
+            |segment| segment.pattern_count(pattern),
+        )?;
         self.pattern_index
             .insert(pattern.clone(), self.pattern_matches.len());
         self.pattern_masks.push(pack_snapshot(
@@ -336,9 +392,18 @@ impl StreamingEstimator {
 
     /// Records one snapshot and updates every accumulator:
     /// `O(paths)` for the store and the marginals, O(1) per registered
-    /// pair, and one packed-snapshot compare per registered pattern.
+    /// pair, and one packed-snapshot compare per registered pattern. A
+    /// counters-only estimator skips the store.
     pub fn push_snapshot(&mut self, congested: &[bool]) -> Result<(), MeasureError> {
-        self.observations.record_snapshot(congested)?;
+        if self.keeps_lanes {
+            self.observations.record_snapshot(congested)?;
+        } else if congested.len() != self.num_paths() {
+            return Err(MeasureError::WrongSnapshotWidth {
+                expected: self.num_paths(),
+                actual: congested.len(),
+            });
+        }
+        self.delta += 1;
         let mut any = false;
         for (count, &c) in self.congested.iter_mut().zip(congested) {
             *count += c as usize;
@@ -586,6 +651,73 @@ mod tests {
         assert!(bad.push_snapshot(&[true]).is_err());
     }
 
+    #[test]
+    fn counters_only_counts_match_a_lane_keeping_estimator() {
+        let pattern = BTreeSet::from([PathId(0), PathId(1)]);
+        let mut counters = StreamingEstimator::counters_only(3);
+        counters.register_pair(PathId(0), PathId(1)).unwrap();
+        counters.register_pattern(&pattern).unwrap();
+        for s in snapshots() {
+            counters.push_snapshot(&s).unwrap();
+        }
+        let lanes = streamed();
+        assert_eq!(counters.num_snapshots(), lanes.num_snapshots());
+        assert_eq!(counters.delta_snapshots(), 8);
+        assert!(counters.observations().is_empty());
+        for p in 0..3 {
+            assert_eq!(
+                counters.congested_count(PathId(p)).unwrap(),
+                lanes.congested_count(PathId(p)).unwrap()
+            );
+            assert_eq!(
+                counters.log_prob_path_good(PathId(p)).unwrap().to_bits(),
+                lanes.log_prob_path_good(PathId(p)).unwrap().to_bits()
+            );
+        }
+        let pairs = [(PathId(0), PathId(1))];
+        assert_eq!(
+            counters.pair_good_counts(&pairs).unwrap(),
+            lanes.pair_good_counts(&pairs).unwrap()
+        );
+        assert_eq!(
+            counters.all_paths_good_count(),
+            lanes.all_paths_good_count()
+        );
+        assert_eq!(
+            counters.pattern_count(&pattern).unwrap(),
+            lanes.pattern_count(&pattern).unwrap()
+        );
+    }
+
+    #[test]
+    fn counters_only_refuses_what_needs_the_snapshots() {
+        let mut est = StreamingEstimator::counters_only(3);
+        // Before the first push a registration has nothing to catch up on.
+        est.register_pair(PathId(0), PathId(1)).unwrap();
+        est.push_snapshot(&[true, false, false]).unwrap();
+        // After it, the lanes a catch-up would scan were never kept.
+        assert!(matches!(
+            est.register_pair(PathId(1), PathId(2)),
+            Err(MeasureError::NoLanes(_))
+        ));
+        assert!(matches!(
+            est.register_pattern(&BTreeSet::from([PathId(2)])),
+            Err(MeasureError::NoLanes(_))
+        ));
+        assert!(matches!(est.batch(), Err(MeasureError::NoLanes(_))));
+        // Re-registering a known pair is still the idempotent lookup.
+        assert_eq!(est.register_pair(PathId(1), PathId(0)).unwrap(), 0);
+        assert_eq!(est.num_registered_pairs(), 1);
+        assert!(matches!(
+            est.push_snapshot(&[true]),
+            Err(MeasureError::WrongSnapshotWidth {
+                expected: 3,
+                actual: 1
+            })
+        ));
+        assert_eq!(est.num_snapshots(), 1);
+    }
+
     fn temp_history(tag: &str, bytes: &[u8]) -> std::path::PathBuf {
         let path =
             std::env::temp_dir().join(format!("netcorr_streaming_{tag}_{}", std::process::id()));
@@ -677,6 +809,51 @@ mod tests {
             );
             std::fs::remove_file(&path).unwrap();
         }
+    }
+
+    #[test]
+    fn counters_only_resumes_from_an_attached_history() {
+        let paths = 4;
+        let pattern = BTreeSet::from([PathId(1), PathId(3)]);
+        let mut live = StreamingEstimator::new(paths);
+        live.register_pair(PathId(0), PathId(2)).unwrap();
+        live.register_pattern(&pattern).unwrap();
+        let mut base = PathObservations::new(paths);
+        for s in 0..150 {
+            let snap = wide_snapshot(paths, s);
+            live.push_snapshot(&snap).unwrap();
+            if s < 70 {
+                base.record_snapshot(&snap).unwrap();
+            }
+        }
+        let path = temp_history("counters", &base.to_binary());
+        let mut resumed = StreamingEstimator::counters_only(paths);
+        resumed.register_pair(PathId(0), PathId(2)).unwrap();
+        resumed
+            .attach_history(MappedObservations::open(&path).unwrap())
+            .unwrap();
+        // Registered after attaching, before any push: caught up from the
+        // base segment.
+        resumed.register_pattern(&pattern).unwrap();
+        for s in 70..150 {
+            resumed.push_snapshot(&wide_snapshot(paths, s)).unwrap();
+        }
+        assert_eq!(resumed.num_snapshots(), 150);
+        assert_eq!(resumed.delta_snapshots(), 80);
+        assert!(resumed.observations().is_empty());
+        assert_eq!(
+            resumed.prob_pair_good(PathId(0), PathId(2)).unwrap(),
+            live.prob_pair_good(PathId(0), PathId(2)).unwrap()
+        );
+        assert_eq!(
+            resumed.prob_exactly_congested(&pattern).unwrap(),
+            live.prob_exactly_congested(&pattern).unwrap()
+        );
+        assert_eq!(
+            resumed.prob_all_paths_good().unwrap(),
+            live.prob_all_paths_good().unwrap()
+        );
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

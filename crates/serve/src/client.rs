@@ -130,7 +130,8 @@ pub struct InferReply {
     pub solver: String,
     /// Euclidean residual over the collected equations.
     pub residual: f64,
-    /// Iterations spent by the iterative solver (0 for the direct paths).
+    /// Solver work: CGLS iterations (`SparseIterative`), simplex pivots
+    /// (`DenseL1`), 0 for `DenseExact`.
     pub iterations: usize,
     /// Whether the server is serving a degraded (stale) estimate — the
     /// refresh failed or did not converge and the last good estimate is

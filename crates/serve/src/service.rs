@@ -3,10 +3,12 @@
 //! [`TomographyService`] owns everything a long-running deployment needs
 //! to keep a live congestion estimate over a fixed topology:
 //!
-//! * a [`StreamingEstimator`] fed one snapshot at a time (O(1) counter
-//!   updates per snapshot, no history rescans), with the equation
-//!   structure's pairs registered so its counters answer every
-//!   right-hand-side entry;
+//! * a counters-only [`StreamingEstimator`] fed one snapshot at a time
+//!   (O(1) counter updates per snapshot, no history rescans), with the
+//!   equation structure's pairs registered before the first push so its
+//!   counters answer every right-hand-side entry. It stores no snapshot
+//!   lanes, so without history the service's memory does not grow with
+//!   the stream;
 //! * one [`InferenceContext`] (equation structure + independence
 //!   selection + prepared solve plan), built once: a re-inference costs
 //!   one `O(#equations)` refresh of [`InferenceContext::rhs`] over the
@@ -38,7 +40,8 @@
 //! (zero-copy, see [`netcorr_measure::MappedObservations`]) and
 //! attached to the streaming estimator as its base segment — a
 //! restarted daemon resumes with accumulators bit-identical to a run
-//! that replayed exactly the acked ingests.
+//! that replayed exactly the acked ingests. The snapshots acked since
+//! startup are kept once, by the history, to build the next generation.
 //!
 //! Solver trouble degrades gracefully instead of erroring: when a
 //! re-inference fails or the sparse plan exhausts its CGLS iteration
@@ -130,6 +133,9 @@ struct HistoryFile {
     /// Whether startup recovered from a torn write (see
     /// [`netcorr_eval::persist::recover_history`]).
     recovered: bool,
+    /// Snapshots acked since the file was loaded: the part of the next
+    /// payload that is not in the mapped base segment.
+    delta: PathObservations,
 }
 
 /// The online tomography engine: ingest snapshots, re-infer on demand,
@@ -174,7 +180,10 @@ impl TomographyService {
     /// happens here; nothing later in the service's life rebuilds it.
     pub fn new(instance: &TopologyInstance, config: &AlgorithmConfig) -> Result<Self, ServeError> {
         let context = InferenceContext::new(instance, config)?;
-        let mut estimator = StreamingEstimator::new(instance.num_paths());
+        // Every pair is registered before the first push, so the
+        // estimator needs no snapshot lanes; the history file, when
+        // enabled, keeps the snapshots it persists.
+        let mut estimator = StreamingEstimator::counters_only(instance.num_paths());
         estimator.register_pairs(context.structure().pairs())?;
         Ok(TomographyService {
             context,
@@ -258,6 +267,7 @@ impl TomographyService {
                 snapshots,
                 generation: recovery.generation,
                 recovered: recovery.recovered,
+                delta: PathObservations::new(self.num_paths),
             });
             Ok(snapshots)
         } else {
@@ -268,6 +278,7 @@ impl TomographyService {
                 snapshots: 0,
                 generation: 0,
                 recovered: recovery.recovered,
+                delta: PathObservations::new(self.num_paths),
             });
             Ok(0)
         }
@@ -275,7 +286,7 @@ impl TomographyService {
 
     /// Atomically persists the history *as it will be after* `block` is
     /// appended, before the in-memory estimator is touched: the
-    /// prospective payload (attached base + owned delta + block) is
+    /// prospective payload (attached base + the history's delta + block) is
     /// sealed with the next generation's footer, the current file is
     /// rotated to `.prev`, and the new generation is written. Only a
     /// successful write lets the ingest proceed — on failure the
@@ -285,18 +296,16 @@ impl TomographyService {
         let Some(history) = &mut self.history else {
             return Ok(());
         };
-        let payload = {
-            let mut delta = self.estimator.observations().clone();
-            delta
-                .concat(block)
-                .map_err(|e| ServeError::Persist(format!("cannot append block: {e}")))?;
-            match self.estimator.base() {
-                Some(base) => base
-                    .view()
-                    .merged_binary(&delta)
-                    .map_err(|e| ServeError::Persist(format!("cannot merge history: {e}")))?,
-                None => delta.to_binary(),
-            }
+        let mut delta = history.delta.clone();
+        delta
+            .concat(block)
+            .map_err(|e| ServeError::Persist(format!("cannot append block: {e}")))?;
+        let payload = match self.estimator.base() {
+            Some(base) => base
+                .view()
+                .merged_binary(&delta)
+                .map_err(|e| ServeError::Persist(format!("cannot merge history: {e}")))?,
+            None => delta.to_binary(),
         };
         let generation = history.generation + 1;
         let sealed = persist::encode_history(&payload, generation);
@@ -312,6 +321,7 @@ impl TomographyService {
                 history.generation = generation;
                 history.bytes = sealed.len();
                 history.snapshots = self.estimator.num_snapshots() + block.num_snapshots();
+                history.delta = delta;
                 Ok(())
             }
             Err(e) => {
@@ -654,6 +664,40 @@ mod tests {
     }
 
     #[test]
+    fn the_service_keeps_no_snapshot_lanes() {
+        let instance = toy::figure_1a();
+        let config = AlgorithmConfig::default();
+        let obs = fig1a_observations(300);
+        let mut service = TomographyService::new(&instance, &config).unwrap();
+        for snapshot in obs.snapshots() {
+            service.push_snapshot(&snapshot).unwrap();
+        }
+        assert_eq!(service.num_snapshots(), 300);
+        assert!(service.estimator.observations().is_empty());
+        // It answers as a service fed the whole block at once.
+        let mut whole = TomographyService::new(&instance, &config).unwrap();
+        whole.ingest_observations(&obs).unwrap();
+        assert_eq!(
+            service.reinfer().unwrap().probabilities(),
+            whole.reinfer().unwrap().probabilities()
+        );
+
+        // With history the snapshots live in the history's delta only.
+        let file = std::env::temp_dir().join(format!(
+            "netcorr_serve_no_lanes_{}.ncobs3",
+            std::process::id()
+        ));
+        std::fs::remove_file(&file).ok();
+        let mut persisted = TomographyService::new(&instance, &config).unwrap();
+        persisted.enable_history(&file).unwrap();
+        persisted.ingest_observations(&obs).unwrap();
+        assert!(persisted.estimator.observations().is_empty());
+        assert_eq!(persisted.history.as_ref().unwrap().delta, obs);
+        std::fs::remove_file(&file).ok();
+        std::fs::remove_file(persist::history_prev_path(&file)).ok();
+    }
+
+    #[test]
     fn history_survives_a_service_restart_bit_identically() {
         let instance = toy::figure_1a();
         let config = AlgorithmConfig::default();
@@ -718,12 +762,18 @@ mod tests {
             "restarted service must answer bit-identically to an uninterrupted one"
         );
 
-        // The persisted file now carries the full 140-snapshot history.
+        // The persisted file now carries the full 140-snapshot history,
+        // byte for byte the sealed serialization of one uninterrupted
+        // store.
         let final_history = second.status().history.unwrap();
         assert_eq!(final_history.snapshots, 140);
         assert_eq!(
             netcorr_eval::persist::read_observations(&file).unwrap(),
             obs
+        );
+        assert_eq!(
+            std::fs::read(&file).unwrap(),
+            persist::encode_history(&obs.to_binary(), final_history.generation)
         );
         std::fs::remove_dir_all(&dir).ok();
     }
