@@ -95,6 +95,23 @@ fn cgls(c: &mut Criterion) {
         })
         .collect();
 
+    // The iteration counts are exact work counters: print them beside the
+    // timings so a kernel change shows it did the same work.
+    let per_solve = |outcomes: &[netcorr_core::solver::SolveOutcome]| {
+        outcomes.iter().map(|o| o.iterations).sum::<usize>() as f64 / outcomes.len() as f64
+    };
+    let cold: Vec<_> = rhs_batch
+        .iter()
+        .map(|rhs| context.solve(rhs).expect("solve succeeds"))
+        .collect();
+    let warm = context.solve_batch(&rhs_batch).expect("solve succeeds");
+    println!(
+        "inference_cgls: {} right-hand sides, CGLS iterations per solve: cold {:.1}, warm {:.1}",
+        rhs_batch.len(),
+        per_solve(&cold),
+        per_solve(&warm)
+    );
+
     let mut group = c.benchmark_group("inference_cgls");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(3));

@@ -10,7 +10,10 @@ use netcorr_bench::{bench_instance, fixture};
 use netcorr_eval::figures::TopologyFamily;
 use netcorr_eval::persist;
 use netcorr_eval::scenario::CorrelationLevel;
-use netcorr_linalg::{cgls, min_l1_norm_solution, Matrix, QrDecomposition, SparseMatrix};
+use netcorr_linalg::{
+    cgls, cgls_indicator, min_l1_norm_solution, IndicatorMatrix, Matrix, QrDecomposition,
+    SparseMatrix,
+};
 use netcorr_measure::reference::{ScalarEstimator, ScalarObservations};
 use netcorr_measure::{PathCounts, PathObservations, ProbabilityEstimator, StreamingEstimator};
 use netcorr_sim::{SimulationConfig, Simulator, TransmissionModel};
@@ -104,7 +107,9 @@ fn solvers(c: &mut Criterion) {
         })
     });
 
-    // Sparse CGLS on a 600 x 400 system.
+    // Sparse CGLS on a 600 x 400 0/1 system, over the general row matrix
+    // and over the indicator matrix the sparse solver plan runs (the same
+    // iterates, bit for bit).
     let mut sparse = SparseMatrix::new(400);
     let mut state = 99u64;
     let mut next = || {
@@ -115,13 +120,22 @@ fn solvers(c: &mut Criterion) {
     };
     for _ in 0..600 {
         let len = 4 + next() % 6;
-        let cols: Vec<usize> = (0..len).map(|_| next() % 400).collect();
+        let mut cols: Vec<usize> = (0..len).map(|_| next() % 400).collect();
+        cols.sort_unstable();
+        cols.dedup();
         sparse.push_indicator_row(&cols).unwrap();
     }
     let x_true: Vec<f64> = (0..400).map(|i| -((i % 7) as f64) / 15.0).collect();
     let rhs = sparse.matvec(&x_true).unwrap();
     group.bench_function("cgls_600x400", |bench| {
-        bench.iter(|| cgls(&sparse, &rhs, 1e-8, 2000, 1e-10).expect("cgls succeeds"))
+        bench.iter(|| cgls(&sparse, &rhs, 1e-8, 2000, 1e-10, None).expect("cgls succeeds"))
+    });
+    let all_rows: Vec<usize> = (0..sparse.rows()).collect();
+    let indicator = IndicatorMatrix::gather(&sparse, &all_rows).expect("0/1 rows");
+    group.bench_function("cgls_indicator_600x400", |bench| {
+        bench.iter(|| {
+            cgls_indicator(&indicator, &rhs, 1e-8, 2000, 1e-10, None).expect("cgls succeeds")
+        })
     });
 
     // Minimum-L1 LP on an under-determined 20 x 40 system.

@@ -23,7 +23,8 @@
 //!   through the RHS-batched [`netcorr_linalg::QrDecomposition::solve_many`];
 //! * dense under-determined systems keep only the matrix: each trial runs
 //!   a fresh two-phase simplex for the minimum-L1 solution;
-//! * sparse systems keep the blocked CSR matrix, and batches warm-start
+//! * sparse systems keep the selected rows as a 0/1 indicator matrix
+//!   ([`netcorr_linalg::IndicatorMatrix`]), and batches warm-start
 //!   CGLS from the previous right-hand side's solution in fixed-length
 //!   chains ([`WARM_CHAIN`]) so the batched result does not depend on how
 //!   a batch is later split across threads.

@@ -27,7 +27,7 @@
 //! The two practical algorithms are one-shot uses of a single pipeline,
 //! the [`context`] module's [`InferenceContext`]: it computes the equation
 //! structure, independence selection and solve plan (a dense QR
-//! factorization, the minimum-L1 matrix, or a blocked sparse matrix)
+//! factorization, the minimum-L1 matrix, or a sparse indicator matrix)
 //! **once** per topology, and per trial assembles the right-hand side from
 //! any [`netcorr_measure::PathCounts`] — the batch estimator offline, the
 //! streaming estimator in the daemon — and solves it. Multi-trial workloads

@@ -13,8 +13,8 @@ pub enum SolverKind {
     /// The paper-exact dense path with fewer than `|E|` independent
     /// equations: the minimum-L1-norm solution consistent with them.
     DenseL1,
-    /// The scalable path: regularised sparse least squares (CGLS) over all
-    /// collected equations.
+    /// The scalable path: regularised sparse least squares (CGLS) over the
+    /// selected independent equations.
     SparseIterative,
 }
 

@@ -34,12 +34,12 @@
 use serde::{Deserialize, Serialize};
 
 use netcorr_linalg::{
-    cgls_blocked,
+    cgls_indicator,
     l1::min_l1_norm_solution,
     l1::min_l1_norm_solution_nonneg,
     norms,
     rank::{select_indicator_rows, IndicatorSelection},
-    BlockedSparseMatrix, LpStatus, Matrix, QrDecomposition, SparseMatrix,
+    IndicatorMatrix, LpStatus, Matrix, QrDecomposition, SparseMatrix,
 };
 
 use crate::equations::{EquationSource, EquationSystem};
@@ -116,21 +116,6 @@ fn gather_dense(matrix: &SparseMatrix, selected: &[usize], num_links: usize) -> 
     a
 }
 
-/// Gathers the selected rows into a sparse matrix (CGLS path).
-fn gather_sparse(
-    matrix: &SparseMatrix,
-    selected: &[usize],
-    num_links: usize,
-) -> Result<SparseMatrix, CoreError> {
-    let mut gathered = SparseMatrix::new(num_links);
-    for &row_idx in selected {
-        gathered
-            .push_row(matrix.row(row_idx))
-            .map_err(CoreError::Numerical)?;
-    }
-    Ok(gathered)
-}
-
 /// The prepared numerical strategy for one equation matrix.
 enum SolvePlan {
     /// No unknowns: every solve is the empty solution.
@@ -141,9 +126,9 @@ enum SolvePlan {
     /// Dense under-determined: the gathered selected-equation matrix for
     /// the per-RHS minimum-L1-norm LP (no factorization to reuse).
     DenseL1 { a: Matrix },
-    /// Sparse: the blocked CSR form of the selected equations, reused by
-    /// every CGLS solve.
-    Sparse { matrix: BlockedSparseMatrix },
+    /// Sparse: the selected equations as a 0/1 indicator matrix, reused
+    /// by every CGLS solve.
+    Sparse { matrix: IndicatorMatrix },
 }
 
 /// Everything about solving one equation matrix that does not depend on
@@ -201,9 +186,8 @@ impl PreparedSolve {
                 }
             }
         } else {
-            let gathered = gather_sparse(matrix, selected, num_links)?;
             SolvePlan::Sparse {
-                matrix: gathered.to_blocked(),
+                matrix: IndicatorMatrix::gather(matrix, selected).map_err(CoreError::Numerical)?,
             }
         };
         Ok(PreparedSolve {
@@ -276,11 +260,11 @@ impl PreparedSolve {
                     (z.into_iter().map(|v| -v).collect(), pivots)
                 }
             }
-            // Sparse CGLS plus a small ridge; a cold start (`None`) is
-            // bit-identical to the plain `cgls` entry point.
-            SolvePlan::Sparse { matrix: blocked } => {
-                let solution = cgls_blocked(
-                    blocked,
+            // Sparse CGLS plus a small ridge; bit-identical to the general
+            // `cgls` over the same rows.
+            SolvePlan::Sparse { matrix: selected } => {
+                let solution = cgls_indicator(
+                    selected,
                     &b,
                     self.config.ridge,
                     self.config.cgls_iterations,

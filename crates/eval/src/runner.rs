@@ -256,7 +256,7 @@ pub fn run_trial(
 
 /// Runs a single trial, fetching both algorithms' inference contexts
 /// (equation structure + independence selection + dense QR factorization
-/// or blocked sparse matrix) from `contexts`.
+/// or sparse indicator matrix) from `contexts`.
 ///
 /// Scenarios drawn for different trials of one experiment share the same
 /// visible instance (unless links are hidden), so a shared cache reduces
@@ -358,7 +358,7 @@ pub fn run_experiment(
 
     // One inference-context cache for the whole experiment: trials share
     // the equation structure, independence selection and dense QR
-    // factorization (or blocked sparse matrix) whenever their visible
+    // factorization (or sparse indicator matrix) whenever their visible
     // instances coincide, which they do unless links are hidden. The
     // cache is only an optimisation — per-trial results are bit-identical
     // with or without hits, so parallel workers stay equal to the

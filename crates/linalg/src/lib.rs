@@ -1,4 +1,4 @@
-//! # netcorr-linalg — dense numerical substrate
+//! # netcorr-linalg — numerical substrate
 //!
 //! The tomography algorithms in `netcorr-core` reduce the inference problem
 //! to (possibly under-determined) systems of linear equations over the
@@ -24,6 +24,8 @@
 //!   (`min ‖x‖₁ s.t. Ax = b`), via the LP formulation; this is the fallback
 //!   used by the paper's practical algorithm when fewer than `|E|`
 //!   independent equations are available.
+//! * [`sparse`] — sparse row matrices, 0/1 indicator matrices and the
+//!   CGLS least-squares solver (the large-system solver plan).
 //! * [`norms`] — vector norms and small helpers.
 //!
 //! All routines are deterministic and allocate only `Vec<f64>` storage.
@@ -45,7 +47,7 @@ pub use l1::{min_l1_norm_solution, min_l1_norm_solution_nonneg};
 pub use matrix::Matrix;
 pub use qr::QrDecomposition;
 pub use simplex::{LinearProgram, LpSolution, LpStatus};
-pub use sparse::{cgls, cgls_blocked, cgls_warm, BlockedSparseMatrix, CglsSolution, SparseMatrix};
+pub use sparse::{cgls, cgls_indicator, CglsSolution, IndicatorMatrix, SparseMatrix};
 
 /// Default relative tolerance used across the crate when comparing floating
 /// point magnitudes (rank decisions, pivot checks, ...).

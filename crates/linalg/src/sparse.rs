@@ -7,14 +7,18 @@
 //! factorisations are needlessly expensive, so the large-system solver path
 //! uses:
 //!
-//! * [`SparseMatrix`] — a compressed row representation with `matvec` /
-//!   `transpose_matvec`;
-//! * [`cgls`] — Conjugate Gradient on the normal equations (CGLS), with an
-//!   optional Tikhonov (ridge) term `λ‖x‖²` that makes the solution unique
-//!   and small when the system is under-determined. For log-probability
+//! * [`SparseMatrix`] — a row representation with any values, built
+//!   incrementally, with `matvec` / `transpose_matvec`;
+//! * [`IndicatorMatrix`] — selected 0/1 rows, indexed by row and by
+//!   column, for the solver's hot loop;
+//! * [`cgls`] / [`cgls_indicator`] — Conjugate Gradient on the normal
+//!   equations (CGLS) over either, with an optional Tikhonov (ridge) term
+//!   `λ‖x‖²` that makes the solution unique and small when the system is
+//!   under-determined, and an optional warm start. For log-probability
 //!   unknowns (which are ≤ 0) the small-norm bias plays the same role as
 //!   the paper's minimum-L1-norm choice: unconstrained links are pushed
-//!   towards "good".
+//!   towards "good". Both run one loop and give the same bits on the
+//!   same rows.
 
 use crate::error::LinalgError;
 use crate::norms::l2_norm;
@@ -143,62 +147,86 @@ impl SparseMatrix {
         }
         dense
     }
-
-    /// Flattens into the blocked CSR form used by the iterative solver
-    /// hot loop.
-    pub fn to_blocked(&self) -> BlockedSparseMatrix {
-        BlockedSparseMatrix::from_sparse(self)
-    }
 }
 
-/// Number of rows a [`BlockedSparseMatrix`] product processes per block.
-/// Small enough that a block's slice of the flat `(col, value)` arrays and
-/// its output window fit in L1/L2 alongside the dense operand.
-const ROW_BLOCK: usize = 128;
-
-/// A [`SparseMatrix`] flattened into compressed-sparse-row (CSR) arrays
-/// and multiplied block-of-rows at a time.
+/// A matrix of 0/1 indicator rows, stored as the column indices of its
+/// ones twice over: row by row (CSR) and column by column (CSC, rows
+/// ascending within a column).
 ///
-/// The row-of-`Vec`s layout of [`SparseMatrix`] is convenient to build
-/// incrementally but costs one pointer chase per row in the CGLS hot loop
-/// (two matvecs per iteration, thousands of iterations). The blocked form
-/// stores every `(column, value)` pair in two flat arrays indexed by a
-/// `row_ptr` offset table, and walks them `ROW_BLOCK` rows per step, so
-/// the traversal is a single forward stream over contiguous memory.
-///
-/// Products accumulate per row in exactly the stored column order, so the
-/// results are **bit-identical** to [`SparseMatrix::matvec`] /
-/// [`SparseMatrix::transpose_matvec`] — swapping the representation under
-/// an iterative solver never changes its iterates.
+/// The measurement equations are all indicator rows, so the CGLS hot loop
+/// needs no value array: `A p` sums `p` over a row's columns, and `Aᵀ r`
+/// sums `r` over a column's rows — a gather per column, written once per
+/// output instead of scattered once per non-zero. Both sums add exactly
+/// the operands the general [`SparseMatrix`] products add, in the same
+/// order, so [`cgls_indicator`] is bit-identical to [`cgls`] on the same
+/// rows. Indices are `u32`, which halves the index traffic of the loop.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BlockedSparseMatrix {
+pub struct IndicatorMatrix {
     cols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    values: Vec<f64>,
+    row_ptr: Vec<u32>,
+    col_idx: Vec<u32>,
+    col_ptr: Vec<u32>,
+    row_idx: Vec<u32>,
 }
 
-impl BlockedSparseMatrix {
-    /// Flattens a [`SparseMatrix`] into CSR arrays.
-    pub fn from_sparse(source: &SparseMatrix) -> Self {
-        let nnz = source.nnz();
-        let mut row_ptr = Vec::with_capacity(source.rows() + 1);
-        let mut col_idx = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
+impl IndicatorMatrix {
+    /// Gathers the listed rows of `source`, in the listed order.
+    ///
+    /// Fails with [`LinalgError::NonIndicatorRow`] (naming the row of
+    /// `source`) if a listed row holds a value other than 1, and with
+    /// [`LinalgError::DimensionMismatch`] if a listed row is out of range
+    /// or an index does not fit in `u32`.
+    pub fn gather(source: &SparseMatrix, rows: &[usize]) -> Result<Self, LinalgError> {
+        let index = |value: usize| {
+            u32::try_from(value).map_err(|_| LinalgError::DimensionMismatch {
+                operation: "IndicatorMatrix::gather (u32 index)",
+                expected: u32::MAX as usize,
+                actual: value,
+            })
+        };
+        index(source.cols)?;
+        index(rows.len())?;
+        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
+        let mut col_idx = Vec::new();
+        let mut col_counts = vec![0u32; source.cols + 1];
         row_ptr.push(0);
-        for row in &source.rows {
-            for &(c, v) in row {
-                col_idx.push(c);
-                values.push(v);
+        for &row in rows {
+            let entries = source.rows.get(row).ok_or(LinalgError::DimensionMismatch {
+                operation: "IndicatorMatrix::gather (row index)",
+                expected: source.rows(),
+                actual: row,
+            })?;
+            for &(col, value) in entries {
+                if value != 1.0 {
+                    return Err(LinalgError::NonIndicatorRow { row });
+                }
+                col_idx.push(col as u32);
+                col_counts[col + 1] += 1;
             }
-            row_ptr.push(col_idx.len());
+            row_ptr.push(index(col_idx.len())?);
         }
-        BlockedSparseMatrix {
+        // Counting sort by column; walking the rows in order leaves each
+        // column's rows ascending.
+        let mut col_ptr = col_counts;
+        for c in 0..source.cols {
+            col_ptr[c + 1] += col_ptr[c];
+        }
+        let mut next = col_ptr.clone();
+        let mut row_idx = vec![0u32; col_idx.len()];
+        for (i, window) in row_ptr.windows(2).enumerate() {
+            for &col in &col_idx[window[0] as usize..window[1] as usize] {
+                let slot = &mut next[col as usize];
+                row_idx[*slot as usize] = i as u32;
+                *slot += 1;
+            }
+        }
+        Ok(IndicatorMatrix {
             cols: source.cols,
             row_ptr,
             col_idx,
-            values,
-        }
+            col_ptr,
+            row_idx,
+        })
     }
 
     /// Number of rows.
@@ -210,79 +238,90 @@ impl BlockedSparseMatrix {
     pub fn cols(&self) -> usize {
         self.cols
     }
+}
 
-    /// Total number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.col_idx.len()
+/// The two products CGLS needs, each fused with the squared norm of its
+/// output. Implementations must add the same operands in the same order
+/// as the [`SparseMatrix`] implementation, so that every operator yields
+/// the same iterates bit for bit.
+trait CglsOperator {
+    /// `q = A p`, each row summed from `+0.0` in stored column order;
+    /// returns `‖q‖²` summed in row order.
+    fn product(&self, p: &[f64], q: &mut [f64]) -> f64;
+
+    /// `s = Aᵀ r − λ x` (the ridge term only when `λ > 0`), each entry
+    /// summed from `+0.0` in ascending row order; returns `‖s‖²` summed
+    /// in column order.
+    fn normal_residual(&self, r: &[f64], x: &[f64], lambda: f64, s: &mut [f64]) -> f64;
+}
+
+impl CglsOperator for SparseMatrix {
+    fn product(&self, p: &[f64], q: &mut [f64]) -> f64 {
+        let mut norm_sq = 0.0;
+        for (row, qi) in self.rows.iter().zip(q.iter_mut()) {
+            let mut acc = 0.0;
+            for &(c, v) in row {
+                acc += v * p[c];
+            }
+            *qi = acc;
+            norm_sq += acc * acc;
+        }
+        norm_sq
     }
 
-    /// Computes `y = A x` into a caller-provided buffer of length
-    /// [`BlockedSparseMatrix::rows`] (no per-call allocation).
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), LinalgError> {
-        if x.len() != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "BlockedSparseMatrix::matvec_into",
-                expected: self.cols,
-                actual: x.len(),
-            });
-        }
-        let rows = self.rows();
-        if y.len() != rows {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "BlockedSparseMatrix::matvec_into (output)",
-                expected: rows,
-                actual: y.len(),
-            });
-        }
-        let mut block_start = 0;
-        while block_start < rows {
-            let block_end = (block_start + ROW_BLOCK).min(rows);
-            for i in block_start..block_end {
-                let mut acc = 0.0;
-                for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                    acc += self.values[k] * x[self.col_idx[k]];
-                }
-                y[i] = acc;
+    fn normal_residual(&self, r: &[f64], x: &[f64], lambda: f64, s: &mut [f64]) -> f64 {
+        s.fill(0.0);
+        for (row, &ri) in self.rows.iter().zip(r) {
+            if ri == 0.0 {
+                continue;
             }
-            block_start = block_end;
+            for &(c, v) in row {
+                s[c] += v * ri;
+            }
         }
-        Ok(())
+        let mut norm_sq = 0.0;
+        for (si, xi) in s.iter_mut().zip(x) {
+            if lambda > 0.0 {
+                *si -= lambda * xi;
+            }
+            norm_sq += *si * *si;
+        }
+        norm_sq
+    }
+}
+
+impl CglsOperator for IndicatorMatrix {
+    fn product(&self, p: &[f64], q: &mut [f64]) -> f64 {
+        let mut norm_sq = 0.0;
+        for (window, qi) in self.row_ptr.windows(2).zip(q.iter_mut()) {
+            let mut acc = 0.0;
+            for &c in &self.col_idx[window[0] as usize..window[1] as usize] {
+                acc += p[c as usize];
+            }
+            *qi = acc;
+            norm_sq += acc * acc;
+        }
+        norm_sq
     }
 
-    /// Computes `y = Aᵀ x` into a caller-provided buffer of length
-    /// [`BlockedSparseMatrix::cols`] (no per-call allocation).
-    pub fn transpose_matvec_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), LinalgError> {
-        let rows = self.rows();
-        if x.len() != rows {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "BlockedSparseMatrix::transpose_matvec_into",
-                expected: rows,
-                actual: x.len(),
-            });
-        }
-        if y.len() != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "BlockedSparseMatrix::transpose_matvec_into (output)",
-                expected: self.cols,
-                actual: y.len(),
-            });
-        }
-        y.iter_mut().for_each(|v| *v = 0.0);
-        let mut block_start = 0;
-        while block_start < rows {
-            let block_end = (block_start + ROW_BLOCK).min(rows);
-            for i in block_start..block_end {
-                let xi = x[i];
-                if xi == 0.0 {
-                    continue;
-                }
-                for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                    y[self.col_idx[k]] += self.values[k] * xi;
-                }
+    // The scatter of the general operator skips rows with `r_i = 0`; the
+    // gather adds them. That changes no bit: an accumulator that starts
+    // at `+0.0` never becomes `−0.0`, and adding `±0.0` to anything else
+    // leaves it unchanged.
+    fn normal_residual(&self, r: &[f64], x: &[f64], lambda: f64, s: &mut [f64]) -> f64 {
+        let mut norm_sq = 0.0;
+        for ((window, si), xi) in self.col_ptr.windows(2).zip(s.iter_mut()).zip(x) {
+            let mut acc = 0.0;
+            for &i in &self.row_idx[window[0] as usize..window[1] as usize] {
+                acc += r[i as usize];
             }
-            block_start = block_end;
+            if lambda > 0.0 {
+                acc -= lambda * xi;
+            }
+            *si = acc;
+            norm_sq += acc * acc;
         }
-        Ok(())
+        norm_sq
     }
 }
 
@@ -303,28 +342,16 @@ pub struct CglsSolution {
 /// equations (CGLS). `λ = 0` gives plain least squares; a small positive
 /// `λ` regularises rank-deficient / under-determined systems towards the
 /// minimum-norm solution.
-pub fn cgls(
-    a: &SparseMatrix,
-    b: &[f64],
-    lambda: f64,
-    max_iterations: usize,
-    tolerance: f64,
-) -> Result<CglsSolution, LinalgError> {
-    cgls_blocked(&a.to_blocked(), b, lambda, max_iterations, tolerance, None)
-}
-
-/// [`cgls`] with an optional initial guess (warm start).
 ///
-/// `initial = None` starts from the zero vector and is exactly [`cgls`].
-/// With `initial = Some(x₀)` the iteration starts from `x₀` — when
-/// consecutive solves share the matrix and have nearby right-hand sides
-/// (successive trials on one topology, or successive refreshes of a
-/// measurement stream), seeding with the previous solution cuts the
-/// iterations to convergence substantially. The minimiser is the same
-/// either way for determined systems; for ridge-regularised
-/// under-determined systems the limit point is the unique regularised
-/// minimiser, so warm and cold starts agree to within the solve tolerance.
-pub fn cgls_warm(
+/// `initial = None` starts from the zero vector; `Some(x₀)` starts from
+/// `x₀` (warm start). When consecutive solves share the matrix and have
+/// nearby right-hand sides (successive refreshes of a measurement
+/// stream), seeding with the previous solution cuts the iterations to
+/// convergence. The minimiser is the same either way for determined
+/// systems; for ridge-regularised under-determined systems the limit
+/// point is the unique regularised minimiser, so warm and cold starts
+/// agree to within the solve tolerance.
+pub fn cgls(
     a: &SparseMatrix,
     b: &[f64],
     lambda: f64,
@@ -332,8 +359,9 @@ pub fn cgls_warm(
     tolerance: f64,
     initial: Option<&[f64]>,
 ) -> Result<CglsSolution, LinalgError> {
-    cgls_blocked(
-        &a.to_blocked(),
+    cgls_over(
+        a,
+        [a.rows(), a.cols()],
         b,
         lambda,
         max_iterations,
@@ -342,21 +370,46 @@ pub fn cgls_warm(
     )
 }
 
-/// [`cgls_warm`] over a pre-flattened [`BlockedSparseMatrix`] — the entry
-/// point for callers that solve many right-hand sides against one matrix
-/// and want to pay the flattening cost once.
-pub fn cgls_blocked(
-    a: &BlockedSparseMatrix,
+/// [`cgls`] over an [`IndicatorMatrix`]: the same iterates, iteration
+/// count, residual and convergence flag, bit for bit, as [`cgls`] over a
+/// [`SparseMatrix`] holding the same rows. This is the loop the sparse
+/// solver plan runs.
+pub fn cgls_indicator(
+    a: &IndicatorMatrix,
     b: &[f64],
     lambda: f64,
     max_iterations: usize,
     tolerance: f64,
     initial: Option<&[f64]>,
 ) -> Result<CglsSolution, LinalgError> {
-    if b.len() != a.rows() {
+    cgls_over(
+        a,
+        [a.rows(), a.cols()],
+        b,
+        lambda,
+        max_iterations,
+        tolerance,
+        initial,
+    )
+}
+
+/// The CGLS loop, once for every operator. Per iteration it makes three
+/// passes through the matrix-sized work — `q = A p` with `‖q‖²`,
+/// `s = Aᵀ r − λ x` with `‖s‖²`, and the `p` update with the next
+/// iteration's `‖p‖²` — plus the `x` and `r` updates.
+fn cgls_over<A: CglsOperator>(
+    a: &A,
+    [rows, cols]: [usize; 2],
+    b: &[f64],
+    lambda: f64,
+    max_iterations: usize,
+    tolerance: f64,
+    initial: Option<&[f64]>,
+) -> Result<CglsSolution, LinalgError> {
+    if b.len() != rows {
         return Err(LinalgError::DimensionMismatch {
             operation: "cgls",
-            expected: a.rows(),
+            expected: rows,
             actual: b.len(),
         });
     }
@@ -366,13 +419,12 @@ pub fn cgls_blocked(
     if !crate::norms::all_finite(b) {
         return Err(LinalgError::NotFinite);
     }
-    let n = a.cols();
     let mut x = match initial {
         Some(x0) => {
-            if x0.len() != n {
+            if x0.len() != cols {
                 return Err(LinalgError::DimensionMismatch {
                     operation: "cgls (initial guess)",
-                    expected: n,
+                    expected: cols,
                     actual: x0.len(),
                 });
             }
@@ -381,76 +433,63 @@ pub fn cgls_blocked(
             }
             x0.to_vec()
         }
-        None => vec![0.0; n],
+        None => vec![0.0; cols],
     };
-    let mut q = vec![0.0; a.rows()];
-    let mut s = vec![0.0; n];
-    // r = b - A x (just b for a cold start — skipping the product keeps
-    // the cold path bit-identical to the historical implementation).
+    let mut q = vec![0.0; rows];
+    let mut s = vec![0.0; cols];
+    // r = b - A x (just b for a cold start, whose s then has no ridge
+    // term: x is zero).
     let mut r = b.to_vec();
     if initial.is_some() {
-        a.matvec_into(&x, &mut q)?;
-        for (ri, qi) in r.iter_mut().zip(q.iter()) {
+        a.product(&x, &mut q);
+        for (ri, qi) in r.iter_mut().zip(&q) {
             *ri -= qi;
         }
     }
-    // s = Aᵀ r - λ x.
-    a.transpose_matvec_into(&r, &mut s)?;
-    if lambda > 0.0 && initial.is_some() {
-        for (si, xi) in s.iter_mut().zip(x.iter()) {
-            *si -= lambda * xi;
-        }
-    }
+    let first_ridge = if initial.is_some() { lambda } else { 0.0 };
+    let mut gamma = a.normal_residual(&r, &x, first_ridge, &mut s);
     let mut p = s.clone();
-    let mut gamma: f64 = s.iter().map(|v| v * v).sum();
+    // ‖p‖² of p = s: the same squares in the same order as γ.
+    let mut p_norm_sq = gamma;
     let b_norm = l2_norm(b).max(1e-30);
     let mut iterations = 0;
     let mut converged = gamma.sqrt() <= tolerance * b_norm;
 
     while iterations < max_iterations && !converged {
-        a.matvec_into(&p, &mut q)?;
-        let q_norm_sq: f64 = q.iter().map(|v| v * v).sum();
-        let p_norm_sq: f64 = p.iter().map(|v| v * v).sum();
+        let q_norm_sq = a.product(&p, &mut q);
         let denom = q_norm_sq + lambda * p_norm_sq;
         if denom <= 0.0 {
             break;
         }
         let alpha = gamma / denom;
-        for (xi, pi) in x.iter_mut().zip(p.iter()) {
+        for (xi, pi) in x.iter_mut().zip(&p) {
             *xi += alpha * pi;
         }
-        for (ri, qi) in r.iter_mut().zip(q.iter()) {
+        for (ri, qi) in r.iter_mut().zip(&q) {
             *ri -= alpha * qi;
         }
-        a.transpose_matvec_into(&r, &mut s)?;
-        if lambda > 0.0 {
-            for (si, xi) in s.iter_mut().zip(x.iter()) {
-                *si -= lambda * xi;
-            }
-        }
-        let gamma_new: f64 = s.iter().map(|v| v * v).sum();
+        let gamma_new = a.normal_residual(&r, &x, lambda, &mut s);
         converged = gamma_new.sqrt() <= tolerance * b_norm;
         let beta = gamma_new / gamma;
         gamma = gamma_new;
-        for (pi, si) in p.iter_mut().zip(s.iter()) {
+        p_norm_sq = 0.0;
+        for (pi, si) in p.iter_mut().zip(&s) {
             *pi = si + beta * *pi;
+            p_norm_sq += *pi * *pi;
         }
         iterations += 1;
     }
 
-    let residual = {
-        a.matvec_into(&x, &mut q)?;
-        let mut sum = 0.0;
-        for (axi, bi) in q.iter().zip(b.iter()) {
-            let d = axi - bi;
-            sum += d * d;
-        }
-        sum.sqrt()
-    };
+    a.product(&x, &mut q);
+    let mut sum = 0.0;
+    for (axi, bi) in q.iter().zip(b) {
+        let d = axi - bi;
+        sum += d * d;
+    }
     Ok(CglsSolution {
         x,
         iterations,
-        residual,
+        residual: sum.sqrt(),
         converged,
     })
 }
@@ -511,7 +550,7 @@ mod tests {
     #[test]
     fn cgls_solves_square_system() {
         let m = sparse_from_dense(&[vec![2.0, 1.0], vec![1.0, 3.0]]);
-        let sol = cgls(&m, &[5.0, 10.0], 0.0, 100, 1e-12).unwrap();
+        let sol = cgls(&m, &[5.0, 10.0], 0.0, 100, 1e-12, None).unwrap();
         assert!(approx_eq(&sol.x, &[1.0, 3.0], 1e-8), "{:?}", sol.x);
         assert!(sol.converged);
         assert!(sol.residual < 1e-7);
@@ -527,7 +566,7 @@ mod tests {
         ]);
         let x_true = [2.0, -3.0];
         let b: Vec<f64> = m.matvec(&x_true).unwrap();
-        let sol = cgls(&m, &b, 0.0, 200, 1e-12).unwrap();
+        let sol = cgls(&m, &b, 0.0, 200, 1e-12, None).unwrap();
         assert!(approx_eq(&sol.x, &x_true, 1e-8));
     }
 
@@ -541,7 +580,7 @@ mod tests {
         ];
         let m = sparse_from_dense(&rows);
         let b = [0.9, 3.2, 4.9, 7.3];
-        let sparse_sol = cgls(&m, &b, 0.0, 500, 1e-14).unwrap();
+        let sparse_sol = cgls(&m, &b, 0.0, 500, 1e-14, None).unwrap();
         let dense = crate::Matrix::from_rows(&rows).unwrap();
         let dense_x = crate::QrDecomposition::new(&dense)
             .unwrap()
@@ -555,7 +594,7 @@ mod tests {
         // One equation, two unknowns: x0 + x1 = 2. CGLS from x = 0 with a
         // ridge converges to (≈1, ≈1), the minimum-norm solution.
         let m = sparse_from_dense(&[vec![1.0, 1.0]]);
-        let sol = cgls(&m, &[2.0], 1e-8, 200, 1e-14).unwrap();
+        let sol = cgls(&m, &[2.0], 1e-8, 200, 1e-14, None).unwrap();
         assert!(approx_eq(&sol.x, &[1.0, 1.0], 1e-4), "{:?}", sol.x);
     }
 
@@ -580,7 +619,7 @@ mod tests {
         }
         let x_true: Vec<f64> = (0..cols).map(|i| -((i % 7) as f64) / 10.0).collect();
         let b = m.matvec(&x_true).unwrap();
-        let sol = cgls(&m, &b, 0.0, 2000, 1e-12).unwrap();
+        let sol = cgls(&m, &b, 0.0, 2000, 1e-12, None).unwrap();
         let residual = {
             let ax = m.matvec(&sol.x).unwrap();
             l2_norm(&crate::norms::sub(&ax, &b))
@@ -591,16 +630,15 @@ mod tests {
     #[test]
     fn cgls_rejects_bad_inputs() {
         let m = sparse_from_dense(&[vec![1.0, 0.0]]);
-        assert!(cgls(&m, &[1.0, 2.0], 0.0, 10, 1e-9).is_err());
-        assert!(cgls(&m, &[1.0], -1.0, 10, 1e-9).is_err());
-        assert!(cgls(&m, &[f64::NAN], 0.0, 10, 1e-9).is_err());
+        assert!(cgls(&m, &[1.0, 2.0], 0.0, 10, 1e-9, None).is_err());
+        assert!(cgls(&m, &[1.0], -1.0, 10, 1e-9, None).is_err());
+        assert!(cgls(&m, &[f64::NAN], 0.0, 10, 1e-9, None).is_err());
     }
 
     #[test]
-    fn blocked_form_matches_the_row_representation_bitwise() {
-        // A system larger than one ROW_BLOCK so the block loop takes
-        // several steps, with irregular row lengths and values that
-        // exercise rounding (no exact binary representations).
+    fn indicator_form_matches_the_row_representation_bitwise() {
+        // Irregular rows, an empty row, an empty column (36) and operands
+        // without exact binary representations, some of them zero.
         let cols = 37;
         let mut m = SparseMatrix::new(cols);
         let mut state = 99u64;
@@ -610,22 +648,39 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as usize
         };
+        m.push_indicator_row(&[]).unwrap();
         for _ in 0..300 {
             let len = 1 + next() % 6;
-            let entries: Vec<(usize, f64)> = (0..len)
-                .map(|_| (next() % cols, 0.1 + (next() % 100) as f64 / 30.0))
-                .collect();
-            m.push_row(&entries).unwrap();
+            let mut columns: Vec<usize> = (0..len).map(|_| next() % (cols - 1)).collect();
+            columns.sort_unstable();
+            columns.dedup();
+            m.push_indicator_row(&columns).unwrap();
         }
-        let blocked = m.to_blocked();
-        assert_eq!(blocked.rows(), m.rows());
-        assert_eq!(blocked.cols(), m.cols());
-        assert_eq!(blocked.nnz(), m.nnz());
-        let x: Vec<f64> = (0..cols).map(|i| (i as f64 / 7.0).sin()).collect();
-        let mut y = vec![0.0; m.rows()];
-        blocked.matvec_into(&x, &mut y).unwrap();
-        assert_eq!(y, m.matvec(&x).unwrap(), "matvec must be bit-identical");
-        let w: Vec<f64> = (0..m.rows())
+        let all: Vec<usize> = (0..m.rows()).collect();
+        let indicator = IndicatorMatrix::gather(&m, &all).unwrap();
+        assert_eq!(indicator.rows(), m.rows());
+        assert_eq!(indicator.cols(), m.cols());
+        assert_eq!(indicator.col_idx.len(), m.nnz());
+        assert_eq!(indicator.row_idx.len(), m.nnz());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let p: Vec<f64> = (0..cols)
+            .map(|i| {
+                if i % 9 == 0 {
+                    0.0
+                } else {
+                    (i as f64 / 7.0).sin()
+                }
+            })
+            .collect();
+        let (mut q_rows, mut q_ind) = (vec![0.0; m.rows()], vec![0.0; m.rows()]);
+        let norm_rows = m.product(&p, &mut q_rows);
+        let norm_ind = indicator.product(&p, &mut q_ind);
+        assert_eq!(bits(&q_ind), bits(&q_rows), "A p must be bit-identical");
+        assert_eq!(norm_ind.to_bits(), norm_rows.to_bits());
+        assert_eq!(q_rows, m.matvec(&p).unwrap());
+
+        let r: Vec<f64> = (0..m.rows())
             .map(|i| {
                 if i % 5 == 0 {
                     0.0
@@ -634,18 +689,43 @@ mod tests {
                 }
             })
             .collect();
-        let mut z = vec![0.0; cols];
-        blocked.transpose_matvec_into(&w, &mut z).unwrap();
+        for lambda in [0.0, 1e-8] {
+            let (mut s_rows, mut s_ind) = (vec![0.0; cols], vec![0.0; cols]);
+            let norm_rows = m.normal_residual(&r, &p, lambda, &mut s_rows);
+            let norm_ind = indicator.normal_residual(&r, &p, lambda, &mut s_ind);
+            assert_eq!(
+                bits(&s_ind),
+                bits(&s_rows),
+                "Aᵀ r − λ x must be bit-identical"
+            );
+            assert_eq!(norm_ind.to_bits(), norm_rows.to_bits());
+        }
+        let mut s = vec![0.0; cols];
+        indicator.normal_residual(&r, &p, 0.0, &mut s);
+        assert_eq!(s, m.transpose_matvec(&r).unwrap());
+    }
+
+    #[test]
+    fn indicator_gather_keeps_the_listed_rows_and_rejects_the_rest() {
+        let mut m = SparseMatrix::new(3);
+        m.push_indicator_row(&[0, 2]).unwrap();
+        m.push_row(&[(1, 2.0)]).unwrap();
+        m.push_indicator_row(&[1]).unwrap();
+        let picked = IndicatorMatrix::gather(&m, &[2, 0]).unwrap();
         assert_eq!(
-            z,
-            m.transpose_matvec(&w).unwrap(),
-            "transpose matvec must be bit-identical"
+            (picked.rows(), picked.cols(), picked.col_idx.len()),
+            (2, 3, 3)
         );
-        // Dimension errors are reported, not panicked.
-        assert!(blocked.matvec_into(&[1.0], &mut y).is_err());
-        assert!(blocked.matvec_into(&x, &mut [0.0]).is_err());
-        assert!(blocked.transpose_matvec_into(&[1.0], &mut z).is_err());
-        assert!(blocked.transpose_matvec_into(&w, &mut [0.0]).is_err());
+        let mut q = vec![0.0; 2];
+        picked.product(&[1.0, 10.0, 100.0], &mut q);
+        assert_eq!(q, vec![10.0, 101.0]);
+        assert_eq!(
+            IndicatorMatrix::gather(&m, &[0, 1]),
+            Err(LinalgError::NonIndicatorRow { row: 1 })
+        );
+        assert!(IndicatorMatrix::gather(&m, &[3]).is_err());
+        let empty = IndicatorMatrix::gather(&m, &[]).unwrap();
+        assert_eq!((empty.rows(), empty.col_idx.len()), (0, 0));
     }
 
     #[test]
@@ -657,10 +737,10 @@ mod tests {
             vec![0.7, 0.0, 0.0],
         ]);
         let b = [0.9, 3.2, 4.9, 7.3];
-        let cold = cgls(&m, &b, 1e-8, 200, 1e-13).unwrap();
+        let cold = cgls(&m, &b, 1e-8, 200, 1e-13, None).unwrap();
         let zeros = vec![0.0; 3];
-        let warm = cgls_warm(&m, &b, 1e-8, 200, 1e-13, Some(&zeros)).unwrap();
-        // The zero guess triggers the r = b - A·0 path; the arithmetic is
+        let warm = cgls(&m, &b, 1e-8, 200, 1e-13, Some(&zeros)).unwrap();
+        // The zero guess takes the r = b - A·0 path; the arithmetic is
         // the same, so iterates and solution agree exactly.
         assert_eq!(cold.x, warm.x);
         assert_eq!(cold.iterations, warm.iterations);
@@ -671,9 +751,9 @@ mod tests {
         let m = sparse_from_dense(&[vec![2.0, 1.0], vec![1.0, 3.0], vec![0.5, 0.5]]);
         let x_true = [1.0, 3.0];
         let b = m.matvec(&x_true).unwrap();
-        let cold = cgls(&m, &b, 0.0, 200, 1e-12).unwrap();
+        let cold = cgls(&m, &b, 0.0, 200, 1e-12, None).unwrap();
         assert!(cold.iterations > 0);
-        let warm = cgls_warm(&m, &b, 0.0, 200, 1e-12, Some(&cold.x)).unwrap();
+        let warm = cgls(&m, &b, 0.0, 200, 1e-12, Some(&cold.x)).unwrap();
         assert_eq!(warm.iterations, 0, "the exact solution needs no iterations");
         assert_eq!(warm.x, cold.x);
         assert!(warm.converged);
@@ -700,10 +780,10 @@ mod tests {
         }
         let x_true: Vec<f64> = (0..cols).map(|i| -((i % 5) as f64) / 8.0).collect();
         let b = m.matvec(&x_true).unwrap();
-        let base = cgls(&m, &b, 1e-8, 4000, 1e-12).unwrap();
+        let base = cgls(&m, &b, 1e-8, 4000, 1e-12, None).unwrap();
         let b_shifted: Vec<f64> = b.iter().map(|v| v + 0.01).collect();
-        let cold = cgls(&m, &b_shifted, 1e-8, 4000, 1e-12).unwrap();
-        let warm = cgls_warm(&m, &b_shifted, 1e-8, 4000, 1e-12, Some(&base.x)).unwrap();
+        let cold = cgls(&m, &b_shifted, 1e-8, 4000, 1e-12, None).unwrap();
+        let warm = cgls(&m, &b_shifted, 1e-8, 4000, 1e-12, Some(&base.x)).unwrap();
         assert!(cold.converged && warm.converged);
         assert!(
             warm.iterations <= cold.iterations,
@@ -720,14 +800,14 @@ mod tests {
     #[test]
     fn warm_start_rejects_bad_initial_guesses() {
         let m = sparse_from_dense(&[vec![1.0, 1.0]]);
-        assert!(cgls_warm(&m, &[2.0], 0.0, 10, 1e-9, Some(&[1.0])).is_err());
-        assert!(cgls_warm(&m, &[2.0], 0.0, 10, 1e-9, Some(&[f64::NAN, 0.0])).is_err());
+        assert!(cgls(&m, &[2.0], 0.0, 10, 1e-9, Some(&[1.0])).is_err());
+        assert!(cgls(&m, &[2.0], 0.0, 10, 1e-9, Some(&[f64::NAN, 0.0])).is_err());
     }
 
     #[test]
     fn zero_iteration_budget_returns_zero_vector() {
         let m = sparse_from_dense(&[vec![1.0, 1.0]]);
-        let sol = cgls(&m, &[2.0], 0.0, 0, 1e-12).unwrap();
+        let sol = cgls(&m, &[2.0], 0.0, 0, 1e-12, None).unwrap();
         assert_eq!(sol.x, vec![0.0, 0.0]);
         assert!(!sol.converged);
         assert_eq!(sol.iterations, 0);

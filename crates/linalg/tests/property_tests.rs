@@ -4,7 +4,9 @@
 //! well-conditioned inputs: solutions actually satisfy the systems they
 //! were produced from, factorisations reproduce the original matrices, and
 //! the minimum-L1 solution never has a larger L1 norm than any other
-//! feasible point we can construct.
+//! feasible point we can construct. The fast paths are checked against
+//! their oracles: exact row selection against Gram–Schmidt, and CGLS over
+//! an [`IndicatorMatrix`] against the general sparse CGLS, bit for bit.
 
 use netcorr_linalg::{
     l1::min_l1_norm_solution,
@@ -13,7 +15,7 @@ use netcorr_linalg::{
     qr::QrDecomposition,
     rank::{select_indicator_rows, IndependentRowSelector},
     simplex::{LinearProgram, LpStatus},
-    sparse::{cgls, SparseMatrix},
+    sparse::{cgls, cgls_indicator, IndicatorMatrix, SparseMatrix},
 };
 use proptest::prelude::*;
 
@@ -288,7 +290,7 @@ proptest! {
         let cgls_tolerance = 1e-12;
         let b = a.matvec(&x_true).unwrap();
         let sparse = sparse_from_dense(&a);
-        let sol = cgls(&sparse, &b, 0.0, 4000, cgls_tolerance).unwrap();
+        let sol = cgls(&sparse, &b, 0.0, 4000, cgls_tolerance, None).unwrap();
         prop_assert!(sol.converged, "CGLS hit the iteration cap");
         prop_assert!(sol.residual < 1e-6, "residual {}", sol.residual);
         let err = l2_norm(&sub(&sol.x, &x_true));
@@ -334,6 +336,71 @@ proptest! {
             unit[k] = 1.0;
             let rejected = !holding.clone().offer(&unit);
             prop_assert_eq!(exact.identified[k], rejected, "column {}", k);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn indicator_cgls_matches_the_general_solver_bitwise(
+        rows in 1usize..=30,
+        cols in 1usize..=20,
+        density in 0.05f64..0.5,
+        cells in prop::collection::vec(0.0f64..1.0, 30 * 20),
+        twists in prop::collection::vec(0.0f64..1.0, 30 + 20),
+        rhs in prop::collection::vec(-2.0f64..0.5, 30),
+        start in prop::collection::vec(-1.0f64..0.2, 20),
+    ) {
+        // A random 0/1 pattern, then per row: empty, or a copy of the row
+        // above (redundant); per column: empty, or a copy of the column
+        // to its left (identical columns).
+        let mut pattern: Vec<Vec<bool>> = (0..rows)
+            .map(|i| (0..cols).map(|j| cells[i * 20 + j] < density).collect())
+            .collect();
+        for i in 0..rows {
+            if twists[i] < 0.15 {
+                pattern[i] = vec![false; cols];
+            } else if twists[i] < 0.35 && i > 0 {
+                pattern[i] = pattern[i - 1].clone();
+            }
+        }
+        for j in 0..cols {
+            for row in pattern.iter_mut() {
+                if twists[30 + j] < 0.15 {
+                    row[j] = false;
+                } else if twists[30 + j] < 0.35 && j > 0 {
+                    row[j] = row[j - 1];
+                }
+            }
+        }
+        let mut general = SparseMatrix::new(cols);
+        for row in &pattern {
+            let ones: Vec<usize> = (0..cols).filter(|&j| row[j]).collect();
+            general.push_indicator_row(&ones).unwrap();
+        }
+        let all: Vec<usize> = (0..rows).collect();
+        let indicator = IndicatorMatrix::gather(&general, &all).unwrap();
+        // Some right-hand-side and warm-start entries are exactly zero.
+        let b: Vec<f64> = (0..rows)
+            .map(|i| if twists[i] > 0.75 { 0.0 } else { rhs[i] })
+            .collect();
+        let warm: Vec<f64> = (0..cols)
+            .map(|j| if twists[30 + j] > 0.75 { 0.0 } else { start[j] })
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for lambda in [0.0, 1e-8] {
+            for cap in [0, 1, 4000] {
+                for initial in [None, Some(&warm[..])] {
+                    let want = cgls(&general, &b, lambda, cap, 1e-12, initial).unwrap();
+                    let got = cgls_indicator(&indicator, &b, lambda, cap, 1e-12, initial).unwrap();
+                    prop_assert_eq!(bits(&got.x), bits(&want.x));
+                    prop_assert_eq!(got.iterations, want.iterations);
+                    prop_assert_eq!(got.residual.to_bits(), want.residual.to_bits());
+                    prop_assert_eq!(got.converged, want.converged);
+                }
+            }
         }
     }
 }

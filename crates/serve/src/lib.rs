@@ -11,7 +11,7 @@
 //!    [`netcorr_core::InferenceContext`]: its right-hand side refreshes in
 //!    `O(#equations)` from the streaming counters, and the solve reuses
 //!    the equation structure, the independence selection and the dense QR
-//!    factorization (or blocked sparse matrix), with CGLS warm-started
+//!    factorization (or sparse indicator matrix), with CGLS warm-started
 //!    from the previous solution on the sparse plan;
 //! 3. **answers** link-state and probability queries over a small
 //!    line-oriented request protocol ([`protocol`]), with per-request
