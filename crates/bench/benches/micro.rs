@@ -7,9 +7,9 @@ use rand::SeedableRng;
 use std::time::Duration;
 
 use netcorr_bench::{bench_instance, fixture};
-use netcorr_eval::figures::TopologyFamily;
+use netcorr_eval::figures::{base_instance, Scale, TopologyFamily};
 use netcorr_eval::persist;
-use netcorr_eval::scenario::CorrelationLevel;
+use netcorr_eval::scenario::{CorrelationLevel, ScenarioBuilder, ScenarioConfig};
 use netcorr_linalg::{
     cgls, cgls_indicator, min_l1_norm_solution, IndicatorMatrix, Matrix, QrDecomposition,
     SparseMatrix,
@@ -74,6 +74,36 @@ fn simulation_throughput(c: &mut Criterion) {
             .expect("valid simulator");
         group.bench_function(BenchmarkId::new("transmission", name), |b| {
             b.iter(|| simulator.run(100, &mut StdRng::seed_from_u64(3)))
+        });
+    }
+    group.finish();
+}
+
+/// One `offline-paper` trial's simulation: PlanetLab at paper scale under
+/// the default scenario, 800 per-snapshot-seeded snapshots. Per-packet
+/// mode at 1000 packets is left out: one such trial takes seconds.
+fn simulation_paper_trial(c: &mut Criterion) {
+    let base = base_instance(TopologyFamily::PlanetLab, Scale::Paper, 42)
+        .expect("topology generation succeeds");
+    let scenario = ScenarioBuilder::new(ScenarioConfig::default())
+        .and_then(|builder| builder.build(&base, &mut StdRng::seed_from_u64(1)))
+        .expect("scenario generation succeeds");
+    let mut group = c.benchmark_group("simulation_paper_trial");
+    group.sample_size(10);
+    group.measurement_time(Duration::from_secs(3));
+    group.warm_up_time(Duration::from_millis(500));
+    for (name, transmission) in [
+        ("binomial", TransmissionModel::Binomial),
+        ("exact", TransmissionModel::Exact),
+    ] {
+        let config = SimulationConfig {
+            transmission,
+            ..SimulationConfig::default()
+        };
+        let simulator =
+            Simulator::new(&scenario.instance, &scenario.model, config).expect("valid simulator");
+        group.bench_function(BenchmarkId::new("transmission", name), |b| {
+            b.iter(|| simulator.run_seeded(800, 3))
         });
     }
     group.finish();
@@ -299,6 +329,7 @@ criterion_group!(
     benches,
     topology_generation,
     simulation_throughput,
+    simulation_paper_trial,
     solvers,
     estimator_queries,
     instance_statistics

@@ -96,7 +96,10 @@ fn run_lines() -> Vec<String> {
                         simulator.run(SNAPSHOTS, &mut StdRng::seed_from_u64(seed)),
                     ),
                     ("run_range", simulator.run_range(37..SNAPSHOTS, seed)),
-                    ("sharded", sharded_observations(&simulator, SNAPSHOTS, seed, 3)),
+                    (
+                        "sharded",
+                        sharded_observations(&simulator, SNAPSHOTS, seed, 3),
+                    ),
                 ];
                 for (entry, observations) in runs {
                     let congested: usize = (0..observations.num_paths())

@@ -200,29 +200,33 @@ impl BitLanes {
         num_slots: usize,
         words: &[u64],
     ) -> Result<Self, MeasureError> {
-        let used = words_for(num_slots);
-        if words.len() != num_lanes * used {
-            return Err(MeasureError::Wire(format!(
-                "expected {num_lanes} lanes x {used} words, got {} words",
-                words.len()
-            )));
-        }
-        let mask = tail_mask(num_slots);
+        check_lane_words(num_lanes, num_slots, words)?;
+        // Capacity `words_for(num_slots)` per lane: the packed layout.
         let mut lanes = BitLanes::with_capacity(num_lanes, num_slots.max(1));
-        for lane in 0..num_lanes {
-            let src = &words[lane * used..(lane + 1) * used];
-            if num_slots > 0 {
-                if src[used - 1] & !mask != 0 {
-                    return Err(MeasureError::Wire(format!(
-                        "lane {lane} has bits set beyond slot {num_slots}"
-                    )));
-                }
-                lanes.words[lane * lanes.words_per_lane..lane * lanes.words_per_lane + used]
-                    .copy_from_slice(src);
-            }
+        if num_slots > 0 {
+            lanes.words[..words.len()].copy_from_slice(words);
         }
         lanes.num_slots = num_slots;
         Ok(lanes)
+    }
+
+    /// [`BitLanes::try_from_lane_words`] without the copy: `words`
+    /// becomes the store's allocation.
+    pub fn try_from_lane_vec(
+        num_lanes: usize,
+        num_slots: usize,
+        mut words: Vec<u64>,
+    ) -> Result<Self, MeasureError> {
+        check_lane_words(num_lanes, num_slots, &words)?;
+        let words_per_lane = words_for(num_slots);
+        // An empty store still owns one lane's words, as `with_capacity`'s do.
+        words.resize(num_lanes.max(1) * words_per_lane, 0);
+        Ok(BitLanes {
+            num_lanes,
+            num_slots,
+            words_per_lane,
+            words,
+        })
     }
 
     /// A borrowed, read-only view of this store (the heap tier of the
@@ -266,6 +270,29 @@ impl BitLanes {
         }
         self.num_slots = total;
     }
+}
+
+/// Checks packed lane words for a store of `num_lanes × num_slots`: the
+/// word count, and the zero tail of every lane.
+fn check_lane_words(num_lanes: usize, num_slots: usize, words: &[u64]) -> Result<(), MeasureError> {
+    let used = words_for(num_slots);
+    if words.len() != num_lanes * used {
+        return Err(MeasureError::Wire(format!(
+            "expected {num_lanes} lanes x {used} words, got {} words",
+            words.len()
+        )));
+    }
+    let mask = tail_mask(num_slots);
+    if num_slots > 0 {
+        for (lane, lane_words) in words.chunks_exact(used).enumerate() {
+            if lane_words[used - 1] & !mask != 0 {
+                return Err(MeasureError::Wire(format!(
+                    "lane {lane} has bits set beyond slot {num_slots}"
+                )));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Writes the packed bits of `src` into `dst` starting at bit `offset`:
@@ -591,6 +618,11 @@ mod tests {
         }
         let rebuilt = BitLanes::from_lane_words(2, 100, &words);
         assert_eq!(rebuilt, lanes);
+        let moved = BitLanes::try_from_lane_vec(2, 100, words.clone()).unwrap();
+        assert_eq!(moved, lanes);
+        assert!(BitLanes::try_from_lane_vec(2, 99, words).is_err());
+        let no_lanes = BitLanes::try_from_lane_vec(0, 5, Vec::new()).unwrap();
+        assert_eq!((no_lanes.num_lanes(), no_lanes.num_slots()), (0, 5));
         // Degenerate empty store.
         let empty = BitLanes::from_lane_words(4, 0, &[0, 0, 0, 0]);
         assert_eq!(empty.num_slots(), 0);

@@ -46,7 +46,7 @@ impl PathObservations {
     }
 
     /// Wraps packed lanes: lane `p` becomes path `p`.
-    pub(crate) fn from_lanes(lanes: BitLanes) -> Self {
+    pub fn from_lanes(lanes: BitLanes) -> Self {
         PathObservations { lanes }
     }
 
@@ -199,7 +199,7 @@ impl PathObservations {
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        let lanes = BitLanes::try_from_lane_words(num_paths, num_snapshots, &words)?;
+        let lanes = BitLanes::try_from_lane_vec(num_paths, num_snapshots, words)?;
         Ok(Self::from_lanes(lanes))
     }
 }

@@ -164,6 +164,19 @@ impl ExplicitModel {
     /// Samples the congestion state of every link for one snapshot.
     pub fn sample_state(&self, rng: &mut impl Rng) -> Vec<bool> {
         let mut state = vec![false; self.num_links()];
+        self.sample_state_into(rng, &mut state);
+        state
+    }
+
+    /// [`ExplicitModel::sample_state`] into `state`, one entry per link:
+    /// the same draws, into a reused buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` does not have one entry per link.
+    pub fn sample_state_into(&self, rng: &mut impl Rng, state: &mut [bool]) {
+        assert_eq!(state.len(), self.num_links(), "one state per link");
+        state.fill(false);
         for set in &self.sets {
             let mask = set.sample(rng);
             for (bit, &link) in set.links.iter().enumerate() {
@@ -172,7 +185,6 @@ impl ExplicitModel {
                 }
             }
         }
-        state
     }
 
     /// `P(S^p = A)`: the probability that, within correlation set `set`,
@@ -311,16 +323,6 @@ impl CongestionModelBuilder {
         self
     }
 
-    /// Declares every listed link to be independently congested with the
-    /// same probability `prob` (convenience wrapper over
-    /// [`CongestionModelBuilder::independent`]).
-    pub fn independent_links(mut self, links: &[LinkId], prob: f64) -> Self {
-        for &l in links {
-            self = self.independent(l, prob);
-        }
-        self
-    }
-
     /// Builds the model.
     pub fn build(self) -> Result<CongestionModel, SimError> {
         if let Some(error) = self.pending_error {
@@ -370,6 +372,10 @@ impl CongestionModelBuilder {
 pub struct SubstrateModel {
     substrate_probs: Vec<f64>,
     dependencies: Vec<Vec<usize>>,
+    /// The inverse of `dependencies`: element `s`'s dependent links are
+    /// `dependents[dependent_starts[s]..dependent_starts[s + 1]]`.
+    dependent_starts: Vec<usize>,
+    dependents: Vec<usize>,
 }
 
 impl SubstrateModel {
@@ -397,20 +403,32 @@ impl SubstrateModel {
                 }
             }
         }
+        let mut dependent_starts = vec![0; substrate_probs.len() + 1];
+        for &d in dependencies.iter().flatten() {
+            dependent_starts[d + 1] += 1;
+        }
+        for s in 0..substrate_probs.len() {
+            dependent_starts[s + 1] += dependent_starts[s];
+        }
+        let mut next = dependent_starts.clone();
+        let mut dependents = vec![0; dependencies.iter().map(Vec::len).sum()];
+        for (link, deps) in dependencies.iter().enumerate() {
+            for &d in deps {
+                dependents[next[d]] = link;
+                next[d] += 1;
+            }
+        }
         Ok(SubstrateModel {
             substrate_probs,
             dependencies,
+            dependent_starts,
+            dependents,
         })
     }
 
     /// Number of logical links.
     pub fn num_links(&self) -> usize {
         self.dependencies.len()
-    }
-
-    /// Number of substrate elements.
-    pub fn num_substrate_elements(&self) -> usize {
-        self.substrate_probs.len()
     }
 
     /// Ground-truth marginal congestion probability of a logical link:
@@ -425,15 +443,31 @@ impl SubstrateModel {
 
     /// Samples the congestion state of every logical link for one snapshot.
     pub fn sample_state(&self, rng: &mut impl Rng) -> Vec<bool> {
-        let substrate: Vec<bool> = self
-            .substrate_probs
-            .iter()
-            .map(|&p| p > 0.0 && rng.random_bool(p.min(1.0)))
-            .collect();
-        self.dependencies
-            .iter()
-            .map(|deps| deps.iter().any(|&s| substrate[s]))
-            .collect()
+        let mut state = vec![false; self.num_links()];
+        self.sample_state_into(rng, &mut state);
+        state
+    }
+
+    /// [`SubstrateModel::sample_state`] into `state`, one entry per
+    /// logical link: the same draws, one per element with a non-zero
+    /// probability in element order, into a reused buffer. A failed
+    /// element marks its dependent links congested.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` does not have one entry per logical link.
+    pub fn sample_state_into(&self, rng: &mut impl Rng, state: &mut [bool]) {
+        assert_eq!(state.len(), self.num_links(), "one state per link");
+        state.fill(false);
+        for (s, &p) in self.substrate_probs.iter().enumerate() {
+            if p > 0.0 && rng.random_bool(p.min(1.0)) {
+                let links =
+                    &self.dependents[self.dependent_starts[s]..self.dependent_starts[s + 1]];
+                for &link in links {
+                    state[link] = true;
+                }
+            }
+        }
     }
 
     /// Exact joint probability that all the given logical links are
@@ -511,9 +545,21 @@ impl CongestionModel {
 
     /// Samples the congestion state of every link for one snapshot.
     pub fn sample_state(&self, rng: &mut impl Rng) -> Vec<bool> {
+        let mut state = vec![false; self.num_links()];
+        self.sample_state_into(rng, &mut state);
+        state
+    }
+
+    /// [`CongestionModel::sample_state`] into `state`, one entry per
+    /// link: the same draws, into a reused buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` does not have one entry per link.
+    pub fn sample_state_into(&self, rng: &mut impl Rng, state: &mut [bool]) {
         match self {
-            CongestionModel::Explicit(m) => m.sample_state(rng),
-            CongestionModel::Substrate(m) => m.sample_state(rng),
+            CongestionModel::Explicit(m) => m.sample_state_into(rng, state),
+            CongestionModel::Substrate(m) => m.sample_state_into(rng, state),
         }
     }
 
@@ -523,14 +569,6 @@ impl CongestionModel {
         match self {
             CongestionModel::Explicit(m) => Some(m.joint_congestion_probability(links)),
             CongestionModel::Substrate(m) => m.joint_congestion_probability(links),
-        }
-    }
-
-    /// Access the explicit model, if this is one.
-    pub fn as_explicit(&self) -> Option<&ExplicitModel> {
-        match self {
-            CongestionModel::Explicit(m) => Some(m),
-            CongestionModel::Substrate(_) => None,
         }
     }
 }
@@ -639,8 +677,9 @@ mod tests {
 
     #[test]
     fn exact_set_state_probabilities_match_the_construction() {
-        let model = fig1a_model();
-        let explicit = model.as_explicit().unwrap();
+        let CongestionModel::Explicit(explicit) = fig1a_model() else {
+            panic!("the builder builds explicit models");
+        };
         // Correlation set C1 = {e1, e2}: S^1 = {e1, e2} with prob 0.2,
         // S^1 = ∅ with prob 0.8, partial states impossible.
         let c1 = CorrelationSetId(0);
@@ -726,18 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn independent_links_helper_assigns_each_link() {
-        let inst = toy::figure_1a();
-        let model = CongestionModelBuilder::new(&inst.correlation)
-            .independent_links(&[LinkId(0), LinkId(2), LinkId(3)], 0.25)
-            .build()
-            .unwrap();
-        assert!((model.marginal(LinkId(0)) - 0.25).abs() < 1e-12);
-        assert!((model.marginal(LinkId(2)) - 0.25).abs() < 1e-12);
-        assert_eq!(model.marginal(LinkId(1)), 0.0);
-    }
-
-    #[test]
     fn oversized_sets_are_rejected() {
         let partition = CorrelationPartition::single_set(70);
         let builder = CongestionModelBuilder::new(&partition);
@@ -754,7 +781,6 @@ mod tests {
         let model =
             SubstrateModel::new(vec![0.2, 0.1, 0.3], vec![vec![0], vec![0, 1], vec![2]]).unwrap();
         assert_eq!(model.num_links(), 3);
-        assert_eq!(model.num_substrate_elements(), 3);
         assert!((model.marginal(LinkId(0)) - 0.2).abs() < 1e-12);
         assert!((model.marginal(LinkId(1)) - (1.0 - 0.8 * 0.9)).abs() < 1e-12);
         assert!((model.marginal(LinkId(2)) - 0.3).abs() < 1e-12);
@@ -817,7 +843,7 @@ mod tests {
         let substrate = SubstrateModel::new(vec![0.1], vec![vec![0]]).unwrap();
         let model: CongestionModel = substrate.clone().into();
         assert_eq!(model.num_links(), 1);
-        assert!(model.as_explicit().is_none());
+        assert!(matches!(model, CongestionModel::Substrate(_)));
         assert!((model.marginals()[0] - 0.1).abs() < 1e-12);
     }
 }

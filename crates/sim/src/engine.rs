@@ -17,12 +17,35 @@
 //! algorithms ever see. The ground-truth link states of a snapshot come
 //! from [`Simulator::simulate_snapshot`]; a seeded range is re-simulated
 //! snapshot by snapshot from [`snapshot_seed`].
+//!
+//! # The per-snapshot draw contract
+//!
+//! Every snapshot draws from its RNG in this order, and seeded runs are
+//! pinned to it:
+//! 1. the congestion model's link states
+//!    ([`CongestionModel::sample_state`]);
+//! 2. one uniform per link, in link order, for its loss rate
+//!    ([`sample_loss_rate`]);
+//! 3. binomial mode: one uniform per path, in path order; exact mode:
+//!    nothing; per-packet mode: each path's packet draws, path by path.
+//!
+//! [`Simulator::simulate_snapshot`] is the reference for this contract.
+//! [`Simulator::run`] and [`Simulator::run_range`] keep it through a
+//! buffered core that makes the same draws in the same order into buffers
+//! reused across snapshots, and only then decides the paths. No draw
+//! depends on a decision in binomial or exact mode, so the core decides
+//! them grouped by hop count — each group's threshold or bracket table
+//! hoisted, each path's delivery the same left-to-right product over a
+//! flat CSR of its links — and packs each path's bits 64 snapshots to a
+//! word. Per-packet draws interleave with the decisions, so that mode
+//! walks the paths in order.
 
 use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
+use netcorr_measure::bitset::{words_for, BitLanes, WORD_BITS};
 use netcorr_measure::PathObservations;
 use netcorr_topology::graph::LinkId;
 use netcorr_topology::TopologyInstance;
@@ -58,6 +81,24 @@ pub struct Simulator<'a> {
     /// The binomial model's congestion tail per hop count `0..=max_hops`;
     /// empty for the other transmission models.
     tails: Vec<LossTail>,
+    /// Path indices grouped by hop count (ascending), in path order
+    /// within a group.
+    order: Vec<u32>,
+    /// The link indices of the paths of `order`, each path's links in
+    /// path order: a flat CSR whose stride is fixed within a group.
+    links: Vec<u32>,
+    /// The hop-count groups of `order`.
+    groups: Vec<HopGroup>,
+}
+
+/// The paths of one hop count: they share a threshold and a tail.
+#[derive(Debug, Clone)]
+struct HopGroup {
+    hops: usize,
+    /// The group's range of [`Simulator::order`].
+    paths: Range<usize>,
+    /// The group's range of [`Simulator::links`], `hops` per path.
+    links: Range<usize>,
 }
 
 impl<'a> Simulator<'a> {
@@ -87,12 +128,37 @@ impl<'a> Simulator<'a> {
                 .collect(),
             TransmissionModel::Exact | TransmissionModel::PerPacket => Vec::new(),
         };
+        let paths: Vec<_> = instance.paths.paths().collect();
+        let index = |i: usize| u32::try_from(i).expect("path and link indices fit in u32");
+        let mut order: Vec<u32> = (0..paths.len()).map(index).collect();
+        order.sort_by_key(|&path| paths[path as usize].len());
+        // Sized up front: the chunks a growing vector leaves behind, once
+        // per trial, raised a paper-scale run's peak RSS by ~0.4 MB.
+        let mut links = Vec::with_capacity(paths.iter().map(|path| path.len()).sum());
+        let mut groups: Vec<HopGroup> = Vec::new();
+        for (position, &path) in order.iter().enumerate() {
+            let path = paths[path as usize];
+            if groups.last().is_none_or(|group| group.hops != path.len()) {
+                groups.push(HopGroup {
+                    hops: path.len(),
+                    paths: position..position,
+                    links: links.len()..links.len(),
+                });
+            }
+            links.extend(path.links.iter().map(|l| index(l.index())));
+            let group = groups.last_mut().expect("a group was pushed above");
+            group.paths.end = position + 1;
+            group.links.end = links.len();
+        }
         Ok(Simulator {
             instance,
             model,
             config,
             thresholds,
             tails,
+            order,
+            links,
+            groups,
         })
     }
 
@@ -103,15 +169,11 @@ impl<'a> Simulator<'a> {
 
     /// Runs `snapshots` snapshots and returns the path observations.
     pub fn run(&self, snapshots: usize, rng: &mut impl Rng) -> PathObservations {
-        let mut observations =
-            PathObservations::with_capacity(self.instance.num_paths(), snapshots);
+        let mut recorder = Recorder::new(self, snapshots);
         for _ in 0..snapshots {
-            let (_, path_congested) = self.simulate_snapshot(rng);
-            observations
-                .record_snapshot(&path_congested)
-                .expect("snapshot width matches the path count");
+            recorder.record(rng);
         }
-        observations
+        recorder.finish()
     }
 
     /// Runs the snapshots of `range` only, each seeded independently from
@@ -122,16 +184,13 @@ impl<'a> Simulator<'a> {
     /// `run_range(0..k)` and `run_range(k..n)` for **any** split — shard
     /// counts never change results.
     pub fn run_range(&self, range: Range<usize>, base_seed: u64) -> PathObservations {
-        let mut observations =
-            PathObservations::with_capacity(self.instance.num_paths(), range.len());
+        let mut recorder = Recorder::new(self, range.len());
         for snapshot in range {
-            let mut rng = StdRng::seed_from_u64(snapshot_seed(base_seed, snapshot));
-            let (_, path_congested) = self.simulate_snapshot(&mut rng);
-            observations
-                .record_snapshot(&path_congested)
-                .expect("snapshot width matches the path count");
+            recorder.record(&mut StdRng::seed_from_u64(snapshot_seed(
+                base_seed, snapshot,
+            )));
         }
-        observations
+        recorder.finish()
     }
 
     /// Runs `snapshots` snapshots with per-snapshot seeding (equivalent to
@@ -142,6 +201,8 @@ impl<'a> Simulator<'a> {
 
     /// Simulates a single snapshot: returns the link congestion states and
     /// the per-path congestion observations.
+    ///
+    /// This is the reference the buffered runs reproduce draw for draw.
     pub fn simulate_snapshot(&self, rng: &mut impl Rng) -> (Vec<bool>, Vec<bool>) {
         // 1. Draw link states from the congestion model.
         let link_states = self.model.sample_state(rng);
@@ -195,6 +256,141 @@ impl<'a> Simulator<'a> {
                 1.0 - delivered as f64 / n as f64 > self.thresholds[hops]
             }
         }
+    }
+
+    /// Calls `decide(path, delivery)` for every path of `group`, with the
+    /// path's delivery the same left-to-right product as
+    /// [`Simulator::path_congested`]'s, over `1 − loss` per link.
+    #[inline]
+    fn deliveries(&self, group: &HopGroup, survival: &[f64], mut decide: impl FnMut(usize, f64)) {
+        let links = &self.links[group.links.clone()];
+        let hops = group.hops;
+        for (i, &path) in self.order[group.paths.clone()].iter().enumerate() {
+            let delivery: f64 = links[i * hops..(i + 1) * hops]
+                .iter()
+                .map(|&l| survival[l as usize])
+                .product();
+            decide(path as usize, delivery);
+        }
+    }
+}
+
+/// The buffered per-snapshot core of [`Simulator::run`] and
+/// [`Simulator::run_range`].
+///
+/// Each snapshot makes exactly the draws of
+/// [`Simulator::simulate_snapshot`], in the same order, into buffers
+/// reused across snapshots:
+/// 1. the model's link states ([`CongestionModel::sample_state_into`]);
+/// 2. one uniform per link for its loss rate ([`sample_loss_rate`]), and
+///    the link's `1 − loss` once;
+/// 3. binomial mode only: one uniform per path, in path order.
+///
+/// Then each path's delivery is the same left-to-right product over its
+/// links, read from the simulator's hop-grouped CSR, and each hop group
+/// is decided against its own threshold or hoisted bracket table — no
+/// draw depends on a decision. Per-packet mode draws inside each path's
+/// decision, so it walks the paths in order after step 2. A path's bits
+/// gather in one word per path, written into the lane words every 64
+/// snapshots.
+struct Recorder<'s, 'a> {
+    sim: &'s Simulator<'a>,
+    states: Vec<bool>,
+    loss_rates: Vec<f64>,
+    /// `1 − loss` per link.
+    survival: Vec<f64>,
+    /// The snapshot's uniform per path (binomial mode).
+    uniforms: Vec<f64>,
+    /// Each path's bits of the current word of snapshots.
+    pending: Vec<u64>,
+    /// Lane-major words, `lane_words` per path.
+    words: Vec<u64>,
+    lane_words: usize,
+    recorded: usize,
+}
+
+impl<'s, 'a> Recorder<'s, 'a> {
+    fn new(sim: &'s Simulator<'a>, snapshots: usize) -> Self {
+        let (links, paths) = (sim.instance.num_links(), sim.instance.num_paths());
+        let lane_words = words_for(snapshots);
+        Recorder {
+            sim,
+            states: vec![false; links],
+            loss_rates: vec![0.0; links],
+            survival: vec![0.0; links],
+            uniforms: vec![0.0; paths],
+            pending: vec![0; paths],
+            words: vec![0; paths * lane_words],
+            lane_words,
+            recorded: 0,
+        }
+    }
+
+    /// Simulates one snapshot and records its path bits.
+    fn record(&mut self, rng: &mut impl Rng) {
+        let sim = self.sim;
+        sim.model.sample_state_into(rng, &mut self.states);
+        for ((loss, survival), &congested) in self
+            .loss_rates
+            .iter_mut()
+            .zip(&mut self.survival)
+            .zip(&self.states)
+        {
+            *loss = sample_loss_rate(rng, congested, &sim.config);
+            *survival = 1.0 - *loss;
+        }
+        let bit = self.recorded % WORD_BITS;
+        let pending = &mut self.pending;
+        match sim.config.transmission {
+            TransmissionModel::Exact => {
+                for group in &sim.groups {
+                    let threshold = sim.thresholds[group.hops];
+                    sim.deliveries(group, &self.survival, |path, delivery| {
+                        pending[path] |= u64::from(1.0 - delivery > threshold) << bit;
+                    });
+                }
+            }
+            TransmissionModel::Binomial => {
+                for u in &mut self.uniforms {
+                    *u = rng.random();
+                }
+                for group in &sim.groups {
+                    let tail = sim.tails[group.hops].hoisted();
+                    let uniforms = &self.uniforms;
+                    sim.deliveries(group, &self.survival, |path, delivery| {
+                        pending[path] |= u64::from(tail.decide(uniforms[path], delivery)) << bit;
+                    });
+                }
+            }
+            TransmissionModel::PerPacket => {
+                for (path, pending) in sim.instance.paths.paths().zip(pending) {
+                    let congested =
+                        sim.path_congested(&path.links, &self.loss_rates, path.len(), rng);
+                    *pending |= u64::from(congested) << bit;
+                }
+            }
+        }
+        self.recorded += 1;
+        if self.recorded.is_multiple_of(WORD_BITS) {
+            self.flush();
+        }
+    }
+
+    /// Moves the pending words into the lanes.
+    fn flush(&mut self) {
+        let word = (self.recorded - 1) / WORD_BITS;
+        for (path, pending) in self.pending.iter_mut().enumerate() {
+            self.words[path * self.lane_words + word] = std::mem::take(pending);
+        }
+    }
+
+    fn finish(mut self) -> PathObservations {
+        if !self.recorded.is_multiple_of(WORD_BITS) {
+            self.flush();
+        }
+        let lanes = BitLanes::try_from_lane_vec(self.pending.len(), self.recorded, self.words)
+            .expect("the recorder sizes the lanes and records no bit past the last snapshot");
+        PathObservations::from_lanes(lanes)
     }
 }
 

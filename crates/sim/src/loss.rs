@@ -50,11 +50,6 @@ pub fn path_delivery_probability(loss_rates: &[f64]) -> f64 {
     loss_rates.iter().map(|l| 1.0 - l).product()
 }
 
-/// End-to-end loss probability of a path (`1 −` delivery probability).
-pub fn path_loss_probability(loss_rates: &[f64]) -> f64 {
-    1.0 - path_delivery_probability(loss_rates)
-}
-
 /// The smallest number of lost packets, out of `packets`, for which a path
 /// is declared congested against `threshold`, or `packets + 1` when no
 /// count is.
@@ -104,14 +99,17 @@ const MARGIN: f64 = 1e-9;
 /// different events of `u`, so a cell whose two boundaries lie on
 /// different sides decides nothing. The side is a flag of its own: a sum
 /// may underflow to zero, which leaves no sign to carry it.
+///
+/// The table keeps, per cell, the decision bounds those sums give
+/// ([`Cell`]).
 struct Brackets {
-    sums: Vec<f64>,
-    upper: Vec<bool>,
+    cells: Vec<Cell>,
 }
 
 impl Brackets {
-    fn build(tail: &LossTail) -> Self {
-        let (sums, upper) = (0..=CELLS)
+    /// The sum at every cell boundary, and whether it is the upper tail.
+    fn boundary_sums(tail: &LossTail) -> (Vec<f64>, Vec<bool>) {
+        (0..=CELLS)
             .map(|i| match i {
                 // A dead path loses all `n ≥ c` packets: P(lost < c) = 0.
                 0 => (0.0, false),
@@ -119,8 +117,76 @@ impl Brackets {
                 CELLS => (0.0, true),
                 _ => tail.converged_sum(i as f64 / CELLS as f64),
             })
-            .unzip();
-        Brackets { sums, upper }
+            .unzip()
+    }
+
+    fn build(tail: &LossTail) -> Self {
+        let (sums, upper) = Self::boundary_sums(tail);
+        let cells = (0..CELLS)
+            .map(|i| {
+                if upper[i + 1] != upper[i] {
+                    return Cell {
+                        congested_below: f64::NEG_INFINITY,
+                        good_above: f64::INFINITY,
+                    };
+                }
+                // The upper tail falls as delivery grows; the lower sum rises.
+                let (low, high) = if upper[i] {
+                    (sums[i + 1], sums[i])
+                } else {
+                    (sums[i], sums[i + 1])
+                };
+                let (below, above) = (low * (1.0 - MARGIN), high * (1.0 + MARGIN));
+                if upper[i] {
+                    Cell {
+                        congested_below: below,
+                        good_above: above,
+                    }
+                } else {
+                    Cell {
+                        congested_below: -above,
+                        good_above: -below,
+                    }
+                }
+            })
+            .collect();
+        Brackets { cells }
+    }
+}
+
+/// One cell of a bracket table, `[i / CELLS, (i + 1) / CELLS)` of
+/// delivery, with the bounds that decide a draw in it: the cell's two
+/// boundary sums widened by the relative [`MARGIN`], `below = low·(1 −
+/// MARGIN)` and `above = high·(1 + MARGIN)`.
+///
+/// Where the sum is the upper tail, `u < below` is congested and
+/// `u > above` good. Where it is the lower sum the events swap, so the
+/// cell keeps the negated bounds `(−above, −below)` and compares `−u`:
+/// negation is exact, so each comparison is the one the unnegated form
+/// makes. The sign of `good_above` tells the sides apart — set exactly on
+/// the lower side, since the sums are never negative — so a cell is 16
+/// bytes. A cell straddling the mode's switch of side decides nothing:
+/// its bounds are infinite.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    congested_below: f64,
+    good_above: f64,
+}
+
+impl Cell {
+    /// The draw of uniform `u`, or `None` when `u` is too close to call.
+    /// Free of branches on the drawn bit: only the rare fallback branches.
+    #[inline]
+    fn decide(&self, u: f64) -> Option<bool> {
+        // `u`, or `−u` on the lower side: `good_above`'s sign moved onto `u`.
+        let sign = self.good_above.to_bits() & (1 << 63);
+        let x = f64::from_bits(u.to_bits() ^ sign);
+        let congested = x < self.congested_below;
+        if congested | (x > self.good_above) {
+            Some(congested)
+        } else {
+            None
+        }
     }
 }
 
@@ -172,6 +238,33 @@ pub struct LossTail {
     /// `None` when the cutoff is 0 or above `packets`, where no draw needs
     /// a table.
     brackets: Option<Arc<Brackets>>,
+}
+
+/// A [`LossTail`] with its bracket table's cells at hand: the same
+/// decisions as [`LossTail::sample`] for the same uniforms, with the
+/// shared table looked up once per loop instead of once per draw.
+#[derive(Clone, Copy)]
+pub(crate) struct HoistedTail<'a> {
+    tail: &'a LossTail,
+    /// Empty when the cutoff needs no table.
+    cells: &'a [Cell],
+}
+
+impl HoistedTail<'_> {
+    /// The draw of uniform `u` at `delivery`. Inside `(0, 1)` the cell
+    /// decides as [`LossTail::bracket`] does; everything else (the
+    /// degenerate deliveries, NaN, a draw too close to call) goes to
+    /// [`LossTail::bracket`] and the summation.
+    #[inline]
+    pub(crate) fn decide(&self, u: f64, delivery: f64) -> bool {
+        if delivery > 0.0 && delivery < 1.0 {
+            let cell = self.cells.get((delivery * CELLS as f64) as usize);
+            if let Some(bit) = cell.and_then(|cell| cell.decide(u)) {
+                return bit;
+            }
+        }
+        self.tail.decide(u, delivery)
+    }
 }
 
 /// The pmf terms [`LossTail::summation`] walks at one delivery, outward
@@ -240,9 +333,7 @@ impl LossTail {
     /// decides it with [`LossTail::bracket`], or with the summation when
     /// the bracket is too close to call.
     pub fn sample(&self, delivery: f64, rng: &mut impl Rng) -> bool {
-        let u: f64 = rng.random();
-        self.bracket(u, delivery)
-            .unwrap_or_else(|| self.summation(u, delivery))
+        self.decide(rng.random(), delivery)
     }
 
     /// Decides the draw of uniform `u ∈ [0, 1)` at `delivery` with one
@@ -265,23 +356,24 @@ impl LossTail {
         if delivery.is_nan() {
             return None;
         }
-        let i = (delivery * CELLS as f64) as usize;
-        let upper = table.upper[i];
-        if table.upper[i + 1] != upper {
-            return None;
-        }
-        // The upper tail falls as delivery grows; the lower sum rises.
-        let (low, high) = if upper {
-            (table.sums[i + 1], table.sums[i])
-        } else {
-            (table.sums[i], table.sums[i + 1])
-        };
-        if u < low * (1.0 - MARGIN) {
-            Some(upper)
-        } else if u > high * (1.0 + MARGIN) {
-            Some(!upper)
-        } else {
-            None
+        table.cells[(delivery * CELLS as f64) as usize].decide(u)
+    }
+
+    /// The draw of uniform `u` at `delivery`: the bracket, or the
+    /// summation when the bracket is too close to call.
+    pub(crate) fn decide(&self, u: f64, delivery: f64) -> bool {
+        self.bracket(u, delivery)
+            .unwrap_or_else(|| self.summation(u, delivery))
+    }
+
+    /// This tail with its bracket table hoisted, for a loop of draws.
+    pub(crate) fn hoisted(&self) -> HoistedTail<'_> {
+        HoistedTail {
+            tail: self,
+            cells: self
+                .brackets
+                .as_deref()
+                .map_or(&[], |table| table.cells.as_slice()),
         }
     }
 
@@ -410,7 +502,6 @@ mod tests {
         assert!((path_delivery_probability(&[0.0, 0.0]) - 1.0).abs() < 1e-12);
         assert!((path_delivery_probability(&[0.5]) - 0.5).abs() < 1e-12);
         assert!((path_delivery_probability(&[0.5, 0.5]) - 0.25).abs() < 1e-12);
-        assert!((path_loss_probability(&[0.1, 0.1]) - (1.0 - 0.81)).abs() < 1e-12);
         // Empty path: everything delivered.
         assert_eq!(path_delivery_probability(&[]), 1.0);
     }
@@ -549,14 +640,19 @@ mod tests {
                         Some(tail.summation(u, delivery)),
                         "n={n} c={c} delivery={delivery} u={u}"
                     );
+                    assert_eq!(
+                        tail.hoisted().decide(u, delivery),
+                        tail.summation(u, delivery)
+                    );
                 }
             }
-            let Some(table) = tail.brackets.as_deref() else {
+            if tail.brackets.is_none() {
                 continue;
-            };
+            }
+            let (sums, upper) = Brackets::boundary_sums(&tail);
             assert_eq!(tail.bracket(0.5, f64::NAN), None);
             for i in 0..CELLS {
-                let (a, b) = (table.sums[i], table.sums[i + 1]);
+                let (a, b) = (sums[i], sums[i + 1]);
                 let (low, high) = (a.min(b), a.max(b));
                 // Just outside the bracket widened by 1e-9, and just inside.
                 let uniforms = [
@@ -581,7 +677,7 @@ mod tests {
                                 "n={n} c={c} cell={i} delivery={delivery} u={u}"
                             );
                         }
-                        if delivery > 0.0 && table.upper[i] == table.upper[i + 1] {
+                        if delivery > 0.0 && upper[i] == upper[i + 1] {
                             // Exactly the uniforms inside the widened bracket fall back.
                             assert_eq!(
                                 bracket.is_none(),
@@ -591,7 +687,7 @@ mod tests {
                         }
                     }
                 }
-                if table.upper[i] != table.upper[i + 1] {
+                if upper[i] != upper[i + 1] {
                     straddling += 1;
                     for u in uniforms {
                         assert_eq!(tail.bracket(u, midpoint), None, "n={n} c={c} cell={i}");
@@ -621,6 +717,7 @@ mod tests {
             if tail
                 .bracket(u, delivery)
                 .is_some_and(|bit| bit != tail.summation(u, delivery))
+                || tail.hoisted().decide(u, delivery) != tail.summation(u, delivery)
             {
                 disagreements += 1;
             }
