@@ -10,7 +10,9 @@
 //!   estimate, so this is the daemon's floor latency with the socket
 //!   taken out of the picture.
 //! * `serve_ingest` — pushing framed v3 observation blocks into the
-//!   service (`OBS` handling without the socket).
+//!   service (`OBS` handling without the socket): one 300-snapshot block
+//!   with no history, and 1-snapshot blocks into a service whose history
+//!   file already holds 20,000 snapshots, so every ack persists it.
 //! * `serve_reinfer` — the payoff measurement for the warm-start
 //!   machinery: over the identical sequence of stream-boundary
 //!   right-hand sides (sparse plan, online tolerance), solving each cold
@@ -24,7 +26,9 @@ use std::time::Duration;
 use netcorr_bench::{fixture, serve_reinfer_workload, Fixture, SERVE_HEAD_SNAPSHOTS};
 use netcorr_core::AlgorithmConfig;
 use netcorr_eval::figures::TopologyFamily;
+use netcorr_eval::persist;
 use netcorr_eval::scenario::CorrelationLevel;
+use netcorr_measure::PathObservations;
 use netcorr_serve::{protocol, TomographyService};
 
 fn bench_fixture() -> Fixture {
@@ -100,7 +104,36 @@ fn ingest(c: &mut Criterion) {
             assert_eq!(ingested, snapshots);
         })
     });
+
+    // The daemon's `--history` ack: the history is a 20,000-snapshot file
+    // (the fixture's snapshots repeated) and each ingest adds one snapshot.
+    let dir = std::env::temp_dir().join(format!("netcorr_bench_history_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let file = dir.join("history.ncobs3");
+    let mut preload = PathObservations::new(fx.observations.num_paths());
+    for s in 0..20_000 {
+        preload
+            .record_snapshot(&fx.observations.snapshot(s % snapshots))
+            .expect("fixture width");
+    }
+    persist::atomic_write(&file, &persist::encode_history(&preload.to_binary(), 1))
+        .expect("history preload writes");
+    let mut persisted = TomographyService::new(&fx.scenario.instance, &AlgorithmConfig::default())
+        .expect("service builds");
+    persisted.enable_history(&file).expect("history loads");
+    let mut one = PathObservations::new(fx.observations.num_paths());
+    one.record_snapshot(&fx.observations.snapshot(0))
+        .expect("fixture width");
+    let one = one.to_binary();
+    group.bench_function("history_1_snapshot_at_20000", |b| {
+        b.iter(|| {
+            let ingested = persisted.ingest_block(&one).expect("block persists");
+            assert_eq!(ingested, 1);
+        })
+    });
     group.finish();
+    drop(persisted);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn reinfer(c: &mut Criterion) {

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use netcorr_topology::path::PathId;
 
-use crate::bitset::{BitLanes, WORD_BITS};
+use crate::bitset::{splice_lane, tail_mask, BitLanes, WORD_BITS};
 use crate::error::MeasureError;
 
 /// Magic bytes opening the binary wire format
@@ -202,6 +202,95 @@ impl PathObservations {
         let lanes = BitLanes::try_from_lane_vec(num_paths, num_snapshots, words)?;
         Ok(Self::from_lanes(lanes))
     }
+}
+
+/// Appends `block`'s snapshots to `payload`, a v3 block over the same
+/// paths, in place: afterwards `payload` is byte for byte the
+/// [`PathObservations::to_binary`] of the payload's snapshots followed by
+/// `block`'s. When the lane word count grows, the lanes are laid out
+/// again from back to front; the block's bits are then shifted into each
+/// lane's tail words as in [`PathObservations::concat`]. Only the words
+/// the block touches are rewritten.
+pub fn append_binary(payload: &mut Vec<u8>, block: &PathObservations) -> Result<(), MeasureError> {
+    let (num_paths, base) = parse_binary_header(payload)?;
+    if block.num_paths() != num_paths {
+        return Err(MeasureError::WrongSnapshotWidth {
+            expected: num_paths,
+            actual: block.num_paths(),
+        });
+    }
+    if block.is_empty() {
+        return Ok(());
+    }
+    let total = base + block.num_snapshots();
+    let (old_used, used) = (base.div_ceil(WORD_BITS), total.div_ceil(WORD_BITS));
+    if used > old_used {
+        payload.resize(BINARY_HEADER_LEN + num_paths * used * 8, 0);
+        // Lane p moves to a start at or past its old one, and past the old
+        // starts of every lane before it: moving the last lane first never
+        // overwrites a lane not yet moved.
+        for p in (0..num_paths).rev() {
+            let (from, to) = (lane_start(p, old_used), lane_start(p, used));
+            payload.copy_within(from..from + old_used * 8, to);
+            payload[to + old_used * 8..to + used * 8].fill(0);
+        }
+    }
+    // The block lands in words `first..used` of each lane.
+    let first = base / WORD_BITS;
+    let mut words = vec![0u64; used - first];
+    for p in 0..num_paths {
+        let start = lane_start(p, used) + first * 8;
+        let tail = &mut payload[start..start + words.len() * 8];
+        for (word, bytes) in words.iter_mut().zip(tail.chunks_exact(8)) {
+            *word = u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
+        }
+        splice_lane(&mut words, base % WORD_BITS, block.lanes().lane(p));
+        for (word, bytes) in words.iter().zip(tail.chunks_exact_mut(8)) {
+            bytes.copy_from_slice(&word.to_le_bytes());
+        }
+    }
+    set_binary_snapshots(payload, total);
+    Ok(())
+}
+
+/// Cuts `payload`, a v3 block, back to its first `num_snapshots`
+/// snapshots in place — the undo of [`append_binary`]: the bits at or past
+/// `num_snapshots` are cleared, the lanes are compacted front to back,
+/// and the header count is restored.
+pub fn truncate_binary(payload: &mut Vec<u8>, num_snapshots: usize) -> Result<(), MeasureError> {
+    let (num_paths, current) = parse_binary_header(payload)?;
+    if num_snapshots > current {
+        return Err(MeasureError::Wire(format!(
+            "cannot truncate {current} snapshots to {num_snapshots}"
+        )));
+    }
+    let (old_used, used) = (
+        current.div_ceil(WORD_BITS),
+        num_snapshots.div_ceil(WORD_BITS),
+    );
+    for p in 0..num_paths {
+        let (from, to) = (lane_start(p, old_used), lane_start(p, used));
+        payload.copy_within(from..from + used * 8, to);
+        if !num_snapshots.is_multiple_of(WORD_BITS) {
+            let last = to + (used - 1) * 8;
+            let word = u64::from_le_bytes(payload[last..last + 8].try_into().expect("8 bytes"))
+                & tail_mask(num_snapshots);
+            payload[last..last + 8].copy_from_slice(&word.to_le_bytes());
+        }
+    }
+    payload.truncate(BINARY_HEADER_LEN + num_paths * used * 8);
+    set_binary_snapshots(payload, num_snapshots);
+    Ok(())
+}
+
+/// Byte offset of lane `lane` in a v3 block of `used` words per lane.
+fn lane_start(lane: usize, used: usize) -> usize {
+    BINARY_HEADER_LEN + lane * used * 8
+}
+
+/// Rewrites the snapshot count of a v3 header.
+fn set_binary_snapshots(payload: &mut [u8], num_snapshots: usize) {
+    payload[16..BINARY_HEADER_LEN].copy_from_slice(&(num_snapshots as u64).to_le_bytes());
 }
 
 /// Length of the fixed v3 header: [`BINARY_MAGIC`] plus two little-endian
@@ -411,6 +500,35 @@ mod tests {
         // Width mismatch is rejected.
         let mut a = PathObservations::new(2);
         assert!(a.concat(&PathObservations::new(3)).is_err());
+    }
+
+    #[test]
+    fn in_place_append_and_truncate_match_serialization() {
+        let bit = |s: usize, p: usize| (s * 5 + p * 11).is_multiple_of(3);
+        let record = |range: std::ops::Range<usize>| {
+            let mut obs = PathObservations::new(3);
+            for s in range {
+                obs.record_snapshot(&[bit(s, 0), bit(s, 1), bit(s, 2)])
+                    .unwrap();
+            }
+            obs
+        };
+        // Bases on and off a word boundary; blocks that stay in the last
+        // word, fill it exactly, and cross one or more boundaries.
+        for base in [0usize, 1, 57, 64, 100, 128] {
+            for len in [1usize, 7, 63, 64, 65, 130] {
+                let mut payload = record(0..base).to_binary();
+                append_binary(&mut payload, &record(base..base + len)).unwrap();
+                assert_eq!(payload, record(0..base + len).to_binary(), "{base}+{len}");
+                truncate_binary(&mut payload, base).unwrap();
+                assert_eq!(payload, record(0..base).to_binary(), "undo {base}+{len}");
+            }
+        }
+        let mut payload = record(0..10).to_binary();
+        append_binary(&mut payload, &PathObservations::new(3)).unwrap();
+        assert_eq!(payload, record(0..10).to_binary());
+        assert!(append_binary(&mut payload, &PathObservations::new(2)).is_err());
+        assert!(truncate_binary(&mut payload, 11).is_err());
     }
 
     #[test]

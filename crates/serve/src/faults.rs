@@ -259,13 +259,6 @@ pub struct FaultyStream<S> {
     writes: u64,
 }
 
-impl<S> FaultyStream<S> {
-    /// The wrapped transport.
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
-}
-
 impl<S: Read> Read for FaultyStream<S> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         if self.plan.is_none() {

@@ -40,8 +40,9 @@
 //! (zero-copy, see [`netcorr_measure::MappedObservations`]) and
 //! attached to the streaming estimator as its base segment — a
 //! restarted daemon resumes with accumulators bit-identical to a run
-//! that replayed exactly the acked ingests. The snapshots acked since
-//! startup are kept once, by the history, to build the next generation.
+//! that replayed exactly the acked ingests. From the first ingest after
+//! startup, the history keeps one buffer: the last acked generation's
+//! payload, into which each ingest patches its block in place.
 //!
 //! Solver trouble degrades gracefully instead of erroring: when a
 //! re-inference fails or the sparse plan exhausts its CGLS iteration
@@ -56,6 +57,7 @@ use netcorr_core::result::{SolverKind, TomographyEstimate};
 use netcorr_core::AlgorithmConfig;
 use netcorr_eval::persist;
 use netcorr_measure::bitset::simd;
+use netcorr_measure::observation::{append_binary, truncate_binary};
 use netcorr_measure::{PathObservations, StreamingEstimator};
 use netcorr_topology::TopologyInstance;
 
@@ -133,9 +135,15 @@ struct HistoryFile {
     /// Whether startup recovered from a torn write (see
     /// [`netcorr_eval::persist::recover_history`]).
     recovered: bool,
-    /// Snapshots acked since the file was loaded: the part of the next
-    /// payload that is not in the mapped base segment.
-    delta: PathObservations,
+    /// Whether the last acked generation sits at `path`, so the next
+    /// write rotates it to `.prev` first. Tracked here instead of a
+    /// `stat` per ack.
+    current: bool,
+    /// The last acked generation's v3 payload, byte for byte, without
+    /// its footer. Built from the mapped base on the first ingest after
+    /// start-up (empty until then, so a restart stays zero-copy) and
+    /// patched in place by every ingest after that.
+    payload: Vec<u8>,
 }
 
 /// The online tomography engine: ingest snapshots, re-infer on demand,
@@ -231,8 +239,16 @@ impl TomographyService {
     ///
     /// Every subsequent successful ingest rotates the current file to
     /// `<path>.prev` and atomically writes the next generation (payload +
-    /// footer) before the ingest is acknowledged. Nothing is fsync'd: the
-    /// acked history survives a killed process, not a power loss.
+    /// footer) before the ingest is acknowledged. The rotation unlinks the
+    /// old `.prev` before it renames, so no rename replaces a file (see
+    /// [`persist::rotate_history`] for the ext4 cost this avoids). Nothing
+    /// is fsync'd: the acked history survives a killed process, not a
+    /// power loss.
+    ///
+    /// Memory: the mapped file, and from the first ingest on one heap
+    /// buffer holding the last acked payload (the file's size, less the
+    /// footer). Each ingest patches its block into that buffer in place;
+    /// no copy of the history is made per ack.
     ///
     /// Must be called before any snapshot is ingested. Returns the
     /// number of history snapshots reloaded (0 for a fresh file).
@@ -267,7 +283,8 @@ impl TomographyService {
                 snapshots,
                 generation: recovery.generation,
                 recovered: recovery.recovered,
-                delta: PathObservations::new(self.num_paths),
+                current: true,
+                payload: Vec::new(),
             });
             Ok(snapshots)
         } else {
@@ -278,62 +295,81 @@ impl TomographyService {
                 snapshots: 0,
                 generation: 0,
                 recovered: recovery.recovered,
-                delta: PathObservations::new(self.num_paths),
+                current: false,
+                payload: Vec::new(),
             });
             Ok(0)
         }
     }
 
     /// Atomically persists the history *as it will be after* `block` is
-    /// appended, before the in-memory estimator is touched: the
-    /// prospective payload (attached base + the history's delta + block) is
-    /// sealed with the next generation's footer, the current file is
-    /// rotated to `.prev`, and the new generation is written. Only a
-    /// successful write lets the ingest proceed — on failure the
-    /// rotation is undone and the service (memory *and* disk) still
+    /// appended, before the in-memory estimator is touched. The block's
+    /// bits are patched into the kept payload in place
+    /// ([`append_binary`]), the payload is sealed with the next
+    /// generation's footer, the current file is rotated to `.prev`
+    /// ([`persist::rotate_history`]: unlink `.prev`, then rename, so no
+    /// rename replaces a file), the buffer is written, and the footer is
+    /// truncated off again. The only allocations are the lanes' amortized
+    /// growth and a scratch of the block's size: no copy of the history
+    /// is made per ack.
+    ///
+    /// Only a successful write lets the ingest proceed. On failure the
+    /// rotation is undone and the append is cut back off
+    /// ([`truncate_binary`]), so the service (memory *and* disk) still
     /// reflects exactly the previously acked generation.
     fn persist_with_block(&mut self, block: &PathObservations) -> Result<(), ServeError> {
         let Some(history) = &mut self.history else {
             return Ok(());
         };
-        let mut delta = history.delta.clone();
-        delta
-            .concat(block)
-            .map_err(|e| ServeError::Persist(format!("cannot append block: {e}")))?;
-        let payload = match self.estimator.base() {
-            Some(base) => base
-                .view()
-                .merged_binary(&delta)
-                .map_err(|e| ServeError::Persist(format!("cannot merge history: {e}")))?,
-            None => delta.to_binary(),
-        };
-        let generation = history.generation + 1;
-        let sealed = persist::encode_history(&payload, generation);
-        let prev = persist::history_prev_path(&history.path);
-        let rotated = history.path.exists();
-        if rotated {
-            std::fs::rename(&history.path, &prev).map_err(|e| {
-                ServeError::Persist(format!("cannot rotate history to {}: {e}", prev.display()))
-            })?;
+        if history.payload.is_empty() {
+            let empty = PathObservations::new(self.num_paths);
+            history.payload = match self.estimator.base() {
+                Some(base) => base
+                    .view()
+                    .merged_binary(&empty)
+                    .map_err(|e| ServeError::Persist(format!("cannot load history: {e}")))?,
+                None => empty.to_binary(),
+            };
         }
-        match self.history_writer.write(&history.path, &sealed) {
+        append_binary(&mut history.payload, block)
+            .map_err(|e| ServeError::Persist(format!("cannot append block: {e}")))?;
+        let generation = history.generation + 1;
+        let payload_len = history.payload.len();
+        persist::seal_history(&mut history.payload, generation);
+        let mut outcome = Ok(());
+        if history.current {
+            outcome = persist::rotate_history(&history.path)
+                .map_err(|e| ServeError::Persist(format!("cannot rotate history: {e}")));
+        }
+        if outcome.is_ok() {
+            if let Err(e) = self.history_writer.write(&history.path, &history.payload) {
+                // Put the last acked generation back at the primary path
+                // so a *continuing* daemon stays consistent; a crash
+                // here instead is what recover_history handles. If the
+                // rename back fails, `.prev` keeps that generation and
+                // the next write must not rotate over it.
+                if history.current {
+                    let prev = persist::history_prev_path(&history.path);
+                    history.current = std::fs::rename(&prev, &history.path).is_ok();
+                }
+                outcome = Err(ServeError::Persist(format!(
+                    "history write failed (generation {generation} not acked): {e}"
+                )));
+            }
+        }
+        history.payload.truncate(payload_len);
+        match outcome {
             Ok(()) => {
                 history.generation = generation;
-                history.bytes = sealed.len();
-                history.snapshots = self.estimator.num_snapshots() + block.num_snapshots();
-                history.delta = delta;
+                history.bytes = payload_len + persist::HISTORY_FOOTER_LEN;
+                history.snapshots += block.num_snapshots();
+                history.current = true;
                 Ok(())
             }
             Err(e) => {
-                // Put the last acked generation back at the primary path
-                // so a *continuing* daemon stays consistent; a crash
-                // here instead is what recover_history handles.
-                if rotated {
-                    let _ = std::fs::rename(&prev, &history.path);
-                }
-                Err(ServeError::Persist(format!(
-                    "history write failed (generation {generation} not acked): {e}"
-                )))
+                truncate_binary(&mut history.payload, history.snapshots)
+                    .expect("the kept payload holds the acked snapshots");
+                Err(e)
             }
         }
     }
@@ -682,7 +718,8 @@ mod tests {
             whole.reinfer().unwrap().probabilities()
         );
 
-        // With history the snapshots live in the history's delta only.
+        // With history the snapshots live in the history's kept payload
+        // only.
         let file = std::env::temp_dir().join(format!(
             "netcorr_serve_no_lanes_{}.ncobs3",
             std::process::id()
@@ -692,7 +729,7 @@ mod tests {
         persisted.enable_history(&file).unwrap();
         persisted.ingest_observations(&obs).unwrap();
         assert!(persisted.estimator.observations().is_empty());
-        assert_eq!(persisted.history.as_ref().unwrap().delta, obs);
+        assert_eq!(persisted.history.as_ref().unwrap().payload, obs.to_binary());
         std::fs::remove_file(&file).ok();
         std::fs::remove_file(persist::history_prev_path(&file)).ok();
     }
