@@ -1,15 +1,14 @@
-//! Benchmarks for the batched inference engine: equation-structure / QR
-//! reuse through `InferenceContext`, cold vs warm-started CGLS, and
-//! trial-level threading in the experiment runner.
+//! Benchmarks for the inference engine: equation-structure / QR reuse
+//! through `InferenceContext`, sparse CGLS solves, and trial-level
+//! threading in the experiment runner.
 //!
 //! Three questions, one group each:
 //!
 //! * `structure_reuse` — how much of a single trial's inference cost is
 //!   observation-independent (structure build + independence selection +
 //!   dense factorization) and therefore amortized away by the context?
-//! * `cgls` — on the sparse path, what does warm-starting each solve from
-//!   the previous trial's solution (in `WARM_CHAIN` chains) save over
-//!   cold starts on the same right-hand sides?
+//! * `cgls` — what does one trial's sparse CGLS solve cost, and how many
+//!   iterations does it take?
 //! * `trial_threads` — end-to-end `run_experiment` wall-clock with one
 //!   trial worker vs all available workers (shards pinned to 1 so only
 //!   trial-level parallelism is measured).
@@ -25,7 +24,7 @@ use netcorr_eval::scenario::{CorrelationLevel, ScenarioConfig};
 use netcorr_measure::{PathObservations, ProbabilityEstimator};
 use netcorr_sim::{SimulationConfig, Simulator};
 
-/// Number of per-trial observation sets in the batched benchmarks.
+/// Number of per-trial observation sets in the CGLS benchmark.
 const TRIALS: usize = 16;
 
 fn bench_fixture() -> Fixture {
@@ -95,21 +94,16 @@ fn cgls(c: &mut Criterion) {
         })
         .collect();
 
-    // The iteration counts are exact work counters: print them beside the
+    // The iteration count is an exact work counter: print it beside the
     // timings so a kernel change shows it did the same work.
-    let per_solve = |outcomes: &[netcorr_core::solver::SolveOutcome]| {
-        outcomes.iter().map(|o| o.iterations).sum::<usize>() as f64 / outcomes.len() as f64
-    };
-    let cold: Vec<_> = rhs_batch
+    let iterations: usize = rhs_batch
         .iter()
-        .map(|rhs| context.solve(rhs).expect("solve succeeds"))
-        .collect();
-    let warm = context.solve_batch(&rhs_batch).expect("solve succeeds");
+        .map(|rhs| context.solve(rhs).expect("solve succeeds").iterations)
+        .sum();
     println!(
-        "inference_cgls: {} right-hand sides, CGLS iterations per solve: cold {:.1}, warm {:.1}",
+        "inference_cgls: {} right-hand sides, CGLS iterations per solve: cold {:.1}",
         rhs_batch.len(),
-        per_solve(&cold),
-        per_solve(&warm)
+        iterations as f64 / rhs_batch.len() as f64
     );
 
     let mut group = c.benchmark_group("inference_cgls");
@@ -122,9 +116,6 @@ fn cgls(c: &mut Criterion) {
                 context.solve(rhs).expect("solve succeeds");
             }
         })
-    });
-    group.bench_function("warm", |b| {
-        b.iter(|| context.solve_batch(&rhs_batch).expect("solve succeeds"))
     });
     group.finish();
 }

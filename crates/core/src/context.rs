@@ -1,4 +1,4 @@
-//! Batched, factorization-reusing inference over a shared topology.
+//! Factorization-reusing inference over a shared topology.
 //!
 //! [`InferenceContext`] is the one log-linear inference pipeline: the
 //! one-shot [`crate::CorrelationAlgorithm::infer`] /
@@ -19,15 +19,14 @@
 //! * with the selection the solve plan is prepared (a `PreparedSolve` in
 //!   [`crate::solver`]):
 //!   dense determined systems keep the QR factorization, so each trial is
-//!   one `Qᵀb` sweep plus one back-substitution, and whole batches go
-//!   through the RHS-batched [`netcorr_linalg::QrDecomposition::solve_many`];
+//!   one `Qᵀb` sweep plus one back-substitution;
 //! * dense under-determined systems keep only the matrix: each trial runs
 //!   a fresh two-phase simplex for the minimum-L1 solution;
 //! * sparse systems keep the selected rows as a 0/1 indicator matrix
-//!   ([`netcorr_linalg::IndicatorMatrix`]), and batches warm-start
-//!   CGLS from the previous right-hand side's solution in fixed-length
-//!   chains ([`WARM_CHAIN`]) so the batched result does not depend on how
-//!   a batch is later split across threads.
+//!   ([`netcorr_linalg::IndicatorMatrix`]), and each trial runs one CGLS
+//!   solve from zero ([`InferenceContext::solve`]) or, on a daemon
+//!   refresh, from the previous refresh's solution
+//!   ([`InferenceContext::reinfer`]).
 //!
 //! A trial's right-hand side is read through [`PathCounts`], so the batch
 //! estimator of an offline trial and the streaming estimator of the daemon
@@ -49,15 +48,6 @@ use crate::equations::{equation_structure, EquationStructure};
 use crate::error::CoreError;
 use crate::result::{Diagnostics, SolverKind, TomographyEstimate};
 use crate::solver::{PreparedSolve, SolveOutcome};
-
-/// Length of a warm-start chain in [`InferenceContext::solve_batch`]:
-/// within each consecutive chunk of this many right-hand sides, the first
-/// CGLS solve is cold and every following solve starts from the previous
-/// solution. Fixing the chain length (instead of chaining through the
-/// whole batch) keeps the batched result independent of how a caller
-/// partitions the batch across threads at `WARM_CHAIN`-aligned
-/// boundaries.
-pub const WARM_CHAIN: usize = 8;
 
 /// Shared, observation-independent inference state for one topology
 /// instance and algorithm configuration.
@@ -179,32 +169,7 @@ impl InferenceContext {
     /// prepared plan. Bit-identical to
     /// [`crate::solver::solve_equations`] on the assembled system.
     pub fn solve(&self, rhs: &[f64]) -> Result<SolveOutcome, CoreError> {
-        self.solve_with_warm_start(rhs, None)
-    }
-
-    /// Like [`InferenceContext::solve`], but on the sparse path CGLS
-    /// starts from `initial` (a previous solution over the same
-    /// structure) instead of zero. `initial` is ignored on the dense
-    /// paths. A `None` start is bit-identical to [`InferenceContext::solve`].
-    pub fn solve_with_warm_start(
-        &self,
-        rhs: &[f64],
-        initial: Option<&[f64]>,
-    ) -> Result<SolveOutcome, CoreError> {
-        self.prepared.solve(self.structure.matrix(), rhs, initial)
-    }
-
-    /// Solves a batch of right-hand sides over the shared structure.
-    ///
-    /// Dense determined plans go through the RHS-batched
-    /// [`netcorr_linalg::QrDecomposition::solve_many`] (bit-identical to
-    /// calling [`InferenceContext::solve`] per RHS); sparse plans
-    /// warm-start each solve from the previous solution within fixed
-    /// [`WARM_CHAIN`] chunks (numerically equal to cold solves within the
-    /// CGLS tolerance, and deterministic for a given batch order).
-    pub fn solve_batch(&self, rhs_batch: &[Vec<f64>]) -> Result<Vec<SolveOutcome>, CoreError> {
-        self.prepared
-            .solve_batch(self.structure.matrix(), rhs_batch, WARM_CHAIN)
+        self.prepared.solve(self.structure.matrix(), rhs, None)
     }
 
     /// Infers the per-link congestion probabilities for one trial's
@@ -233,27 +198,9 @@ impl InferenceContext {
         rhs: &[f64],
         warm: Option<&[f64]>,
     ) -> Result<(TomographyEstimate, Vec<f64>), CoreError> {
-        let outcome = self.solve_with_warm_start(rhs, warm)?;
+        let outcome = self.prepared.solve(self.structure.matrix(), rhs, warm)?;
         let x = outcome.x.clone();
         Ok((self.estimate(outcome), x))
-    }
-
-    /// Infers a whole batch of trials over the shared structure (see
-    /// [`InferenceContext::solve_batch`] for the batching strategy).
-    pub fn infer_batch(
-        &self,
-        observations: &[&PathObservations],
-    ) -> Result<Vec<TomographyEstimate>, CoreError> {
-        let mut batch = Vec::with_capacity(observations.len());
-        for obs in observations {
-            let estimator = self.estimator(obs)?;
-            batch.push(self.rhs(&estimator)?);
-        }
-        Ok(self
-            .solve_batch(&batch)?
-            .into_iter()
-            .map(|outcome| self.estimate(outcome))
-            .collect())
     }
 
     fn check_width(&self, num_paths: usize) -> Result<(), CoreError> {
@@ -470,51 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_batch_is_bit_identical_to_sequential_solves() {
-        let inst = fig1a_instance();
-        let config = AlgorithmConfig::default();
-        let ctx = InferenceContext::for_correlation(&inst, config).unwrap();
-        assert_eq!(ctx.solver_kind(), SolverKind::DenseExact);
-        let batch: Vec<PathObservations> = (0..5).map(|i| simulate(&inst, 1_000, 20 + i)).collect();
-        let refs: Vec<&PathObservations> = batch.iter().collect();
-        let batched = ctx.infer_batch(&refs).unwrap();
-        for (estimate, obs) in batched.iter().zip(&batch) {
-            let sequential = ctx.infer(obs).unwrap();
-            assert_eq!(estimate.probabilities(), sequential.probabilities());
-            assert_eq!(
-                estimate.diagnostics.residual,
-                sequential.diagnostics.residual
-            );
-        }
-    }
-
-    #[test]
-    fn sparse_warm_batch_matches_cold_solves_within_tolerance() {
-        let inst = fig1a_instance();
-        let mut config = AlgorithmConfig::default();
-        config.solver.dense_threshold = 0;
-        let ctx = InferenceContext::for_correlation(&inst, config).unwrap();
-        assert_eq!(ctx.solver_kind(), SolverKind::SparseIterative);
-        // More observations than one warm chain, so the chunking runs too.
-        let batch: Vec<PathObservations> = (0..WARM_CHAIN + 3)
-            .map(|i| simulate(&inst, 1_000, 40 + i as u64))
-            .collect();
-        let refs: Vec<&PathObservations> = batch.iter().collect();
-        let batched = ctx.infer_batch(&refs).unwrap();
-        assert_eq!(batched.len(), batch.len());
-        for (estimate, obs) in batched.iter().zip(&batch) {
-            let cold = ctx.infer(obs).unwrap();
-            assert_eq!(estimate.diagnostics.solver, SolverKind::SparseIterative);
-            assert!(
-                norms::approx_eq(estimate.probabilities(), cold.probabilities(), 1e-6),
-                "warm {:?} vs cold {:?}",
-                estimate.probabilities(),
-                cold.probabilities()
-            );
-        }
-    }
-
-    #[test]
     fn reinfer_matches_infer_and_chains_warm_starts() {
         let inst = fig1a_instance();
         let obs = simulate(&inst, 2_000, 17);
@@ -676,10 +578,6 @@ mod tests {
         let short_rhs = vec![0.0; ctx.structure().num_equations() + 1];
         assert!(matches!(
             ctx.solve(&short_rhs),
-            Err(CoreError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            ctx.solve_batch(&[short_rhs]),
             Err(CoreError::InvalidConfig(_))
         ));
     }

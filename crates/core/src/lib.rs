@@ -49,7 +49,7 @@ pub mod solver;
 pub mod theorem;
 
 pub use algorithm::{AlgorithmConfig, CorrelationAlgorithm, IndependenceAlgorithm};
-pub use context::{ContextCache, InferenceContext, WARM_CHAIN};
+pub use context::{ContextCache, InferenceContext};
 pub use equations::{
     EquationConfig, EquationSource, EquationStructure, EquationSystem, IncrementalEquationBuilder,
 };

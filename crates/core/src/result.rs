@@ -95,15 +95,6 @@ impl TomographyEstimate {
         self.congestion_probabilities[link.index()]
     }
 
-    /// The inferred probability that `link` is good, `P(X = 0)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the link id is out of range.
-    pub fn good_probability(&self, link: LinkId) -> f64 {
-        1.0 - self.congestion_probability(link)
-    }
-
     /// All inferred congestion probabilities, indexed by link.
     pub fn probabilities(&self) -> &[f64] {
         &self.congestion_probabilities
@@ -137,7 +128,6 @@ mod tests {
         assert!(est.congestion_probability(LinkId(2)) > 0.999);
         // A (noisy) positive log-probability is clamped to "always good".
         assert_eq!(est.congestion_probability(LinkId(3)), 0.0);
-        assert!((est.good_probability(LinkId(1)) - 0.5).abs() < 1e-12);
     }
 
     #[test]

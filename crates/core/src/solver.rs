@@ -278,49 +278,6 @@ impl PreparedSolve {
         self.finish(x, iterations, matrix, rhs)
     }
 
-    /// Solves a batch of right-hand sides. Dense determined plans go
-    /// through the RHS-batched [`QrDecomposition::solve_many`]
-    /// (bit-identical to one [`PreparedSolve::solve`] per RHS); sparse
-    /// plans warm-start each solve from the previous solution within
-    /// chunks of `warm_chain`.
-    pub(crate) fn solve_batch(
-        &self,
-        matrix: &SparseMatrix,
-        rhs_batch: &[Vec<f64>],
-        warm_chain: usize,
-    ) -> Result<Vec<SolveOutcome>, CoreError> {
-        match &self.plan {
-            SolvePlan::DenseFactored { qr } => {
-                let bs = rhs_batch
-                    .iter()
-                    .map(|rhs| self.gather(matrix, rhs))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let solutions = qr.solve_many(&bs).map_err(CoreError::Numerical)?;
-                solutions
-                    .into_iter()
-                    .zip(rhs_batch)
-                    .map(|(x, rhs)| self.finish(x, 0, matrix, rhs))
-                    .collect()
-            }
-            SolvePlan::Sparse { .. } => {
-                let mut outcomes = Vec::with_capacity(rhs_batch.len());
-                for chunk in rhs_batch.chunks(warm_chain) {
-                    let mut warm: Option<Vec<f64>> = None;
-                    for rhs in chunk {
-                        let outcome = self.solve(matrix, rhs, warm.as_deref())?;
-                        warm = Some(outcome.x.clone());
-                        outcomes.push(outcome);
-                    }
-                }
-                Ok(outcomes)
-            }
-            _ => rhs_batch
-                .iter()
-                .map(|rhs| self.solve(matrix, rhs, None))
-                .collect(),
-        }
-    }
-
     /// The selected rows' right-hand-side entries, after checking that
     /// `rhs` has one entry per row.
     fn gather(&self, matrix: &SparseMatrix, rhs: &[f64]) -> Result<Vec<f64>, CoreError> {

@@ -260,51 +260,38 @@ pub fn history_torn_path(path: &Path) -> PathBuf {
 /// v3 payload it carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistoryFooter {
-    /// 1-based ingest generation (0 for legacy footer-less files).
+    /// 1-based ingest generation.
     pub generation: u64,
     /// Byte length of the v3 observation payload.
     pub payload_len: usize,
-    /// Whether the file carried an explicit footer (`false` for legacy
-    /// footer-less v3 files, accepted as generation 0).
-    pub footered: bool,
 }
 
-/// Validates an in-memory history image: either a footered file (magic
-/// in place, `payload_len` consistent with the file length, checksum
-/// matching, payload header parseable) or a legacy footer-less v3 block
-/// (accepted as generation 0 so pre-footer histories keep loading).
-/// Returns `None` for anything torn or corrupt.
+/// Validates an in-memory history image: the footer magic in place,
+/// `payload_len` consistent with the file length, the checksum matching
+/// and the payload header parseable. Returns `None` for anything else,
+/// a footer-less v3 block included: every strict prefix of a sealed file
+/// (a torn write) fails.
 pub fn validate_history_bytes(bytes: &[u8]) -> Option<HistoryFooter> {
-    if bytes.len() >= BINARY_HEADER_LEN + HISTORY_FOOTER_LEN {
-        let foot = &bytes[bytes.len() - HISTORY_FOOTER_LEN..];
-        if &foot[..8] == HISTORY_FOOTER_MAGIC {
-            let generation = u64::from_le_bytes(foot[8..16].try_into().expect("8 bytes"));
-            let payload_len = usize::try_from(u64::from_le_bytes(
-                foot[16..24].try_into().expect("8 bytes"),
-            ))
-            .ok()?;
-            let checksum = u64::from_le_bytes(foot[24..32].try_into().expect("8 bytes"));
-            if payload_len == bytes.len() - HISTORY_FOOTER_LEN
-                && checksum == history_checksum(&bytes[..payload_len], generation)
-                && parse_binary_header(&bytes[..payload_len]).is_ok()
-            {
-                return Some(HistoryFooter {
-                    generation,
-                    payload_len,
-                    footered: true,
-                });
-            }
-            return None;
-        }
+    if bytes.len() < BINARY_HEADER_LEN + HISTORY_FOOTER_LEN {
+        return None;
     }
-    if parse_binary_header(bytes).is_ok() {
-        return Some(HistoryFooter {
-            generation: 0,
-            payload_len: bytes.len(),
-            footered: false,
-        });
+    let foot = &bytes[bytes.len() - HISTORY_FOOTER_LEN..];
+    if &foot[..8] != HISTORY_FOOTER_MAGIC {
+        return None;
     }
-    None
+    let generation = u64::from_le_bytes(foot[8..16].try_into().expect("8 bytes"));
+    let payload_len = usize::try_from(u64::from_le_bytes(
+        foot[16..24].try_into().expect("8 bytes"),
+    ))
+    .ok()?;
+    let checksum = u64::from_le_bytes(foot[24..32].try_into().expect("8 bytes"));
+    let valid = payload_len == bytes.len() - HISTORY_FOOTER_LEN
+        && checksum == history_checksum(&bytes[..payload_len], generation)
+        && parse_binary_header(&bytes[..payload_len]).is_ok();
+    valid.then_some(HistoryFooter {
+        generation,
+        payload_len,
+    })
 }
 
 /// The outcome of [`recover_history`].
@@ -313,7 +300,7 @@ pub struct HistoryRecovery {
     /// Byte length of the valid v3 payload now at the primary path, or
     /// `None` when no usable history exists (start fresh).
     pub payload_len: Option<usize>,
-    /// Generation of the recovered history (0 when fresh or legacy).
+    /// Generation of the recovered history (0 when fresh).
     pub generation: u64,
     /// Whether startup had to fall back — a torn or missing current
     /// file was replaced by the rotated previous generation (or
@@ -355,9 +342,8 @@ fn read_if_exists(path: &Path) -> Result<Option<Vec<u8>>, EvalError> {
 ///   and is outside the crash model, so it is surfaced instead of
 ///   silently discarding data.
 ///
-/// A footer-less current file next to a *footered* `.prev` is treated as
-/// torn (a legacy file can never coexist with a footered rotation — only
-/// a write torn exactly at the payload boundary produces that shape).
+/// Only sealed files are valid ([`validate_history_bytes`]), so a write
+/// torn exactly at the payload boundary is torn like any other prefix.
 pub fn recover_history(path: &Path) -> Result<HistoryRecovery, EvalError> {
     let prev_path = history_prev_path(path);
     let current = read_if_exists(path)?;
@@ -366,14 +352,11 @@ pub fn recover_history(path: &Path) -> Result<HistoryRecovery, EvalError> {
     let prev_footer = previous.as_deref().and_then(validate_history_bytes);
 
     if let Some(footer) = current_footer {
-        let torn_at_payload_boundary = !footer.footered && prev_footer.is_some_and(|p| p.footered);
-        if !torn_at_payload_boundary {
-            return Ok(HistoryRecovery {
-                payload_len: Some(footer.payload_len),
-                generation: footer.generation,
-                recovered: false,
-            });
-        }
+        return Ok(HistoryRecovery {
+            payload_len: Some(footer.payload_len),
+            generation: footer.generation,
+            recovered: false,
+        });
     }
 
     let quarantine_current = || {
@@ -601,25 +584,15 @@ mod tests {
         let footer = validate_history_bytes(&sealed).expect("sealed file validates");
         assert_eq!(footer.generation, 7);
         assert_eq!(footer.payload_len, payload.len());
-        assert!(footer.footered);
 
-        // A legacy footer-less v3 block is accepted as generation 0.
-        let legacy = validate_history_bytes(&payload).expect("legacy file validates");
-        assert_eq!(legacy.generation, 0);
-        assert!(!legacy.footered);
-
-        // Every strict prefix of the sealed file fails validation as a
-        // footered file; the only prefix that validates at all is the
-        // exact payload boundary (indistinguishable from a legacy file,
-        // handled by recover_history's rotation rule).
+        // No strict prefix of the sealed file validates, the bare payload
+        // (a write torn exactly at the payload boundary) included.
         for cut in 0..sealed.len() {
-            match validate_history_bytes(&sealed[..cut]) {
-                None => {}
-                Some(f) => {
-                    assert!(!f.footered, "torn prefix at {cut} validated as footered");
-                    assert_eq!(cut, payload.len(), "unexpected valid prefix at {cut}");
-                }
-            }
+            assert_eq!(
+                validate_history_bytes(&sealed[..cut]),
+                None,
+                "torn prefix at {cut} validated"
+            );
         }
 
         // A flipped payload byte breaks the checksum.
@@ -696,6 +669,14 @@ mod tests {
         assert!(torn.recovered);
         assert!(!file.exists());
         assert!(history_torn_path(&file).exists());
+
+        // First-generation write torn exactly at the payload boundary, no
+        // .prev: the bare payload is torn too, never an acked history.
+        std::fs::write(&file, &gen1[..gen1.len() - HISTORY_FOOTER_LEN]).unwrap();
+        let boundary = recover_history(&file).unwrap();
+        assert_eq!(boundary.payload_len, None);
+        assert!(boundary.recovered);
+        assert!(!file.exists());
 
         // Both torn: an error, not silent data loss.
         std::fs::write(&file, &gen2[..13]).unwrap();

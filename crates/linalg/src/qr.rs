@@ -154,70 +154,6 @@ impl QrDecomposition {
         Ok(x)
     }
 
-    /// Solves `min_x ‖A x - bᵢ‖₂` for a batch of right-hand sides,
-    /// re-using the factorisation for every solve.
-    ///
-    /// This is the batched-inference workhorse: the measurement matrix of
-    /// a topology is observation-independent, so trials that differ only
-    /// in their right-hand side share one factorisation and each solve is
-    /// an `O(mn)` reflector sweep plus an `O(n²)` back-substitution —
-    /// the `O(mn²)` factorisation cost is paid once. The reflectors are
-    /// applied column-blocked (each Householder vector is swept across
-    /// every right-hand side before moving to the next) so the hot
-    /// reflector column stays in cache.
-    ///
-    /// Each returned solution is bit-identical to
-    /// [`QrDecomposition::solve_least_squares`] on the same right-hand
-    /// side.
-    pub fn solve_many(&self, rhs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, LinalgError> {
-        let m = self.qr.rows();
-        let n = self.qr.cols();
-        for b in rhs {
-            if b.len() != m {
-                return Err(LinalgError::DimensionMismatch {
-                    operation: "QrDecomposition::solve_many",
-                    expected: m,
-                    actual: b.len(),
-                });
-            }
-        }
-        if self.is_rank_deficient() {
-            return Err(LinalgError::Singular);
-        }
-        let mut qtb: Vec<Vec<f64>> = rhs.to_vec();
-        // Reflector-outer, RHS-inner: one pass over the k-th Householder
-        // column updates every right-hand side while the column is hot.
-        for k in 0..n {
-            if self.betas[k] == 0.0 {
-                continue;
-            }
-            for b in qtb.iter_mut() {
-                let mut s = 0.0;
-                for i in k..m {
-                    s += self.qr[(i, k)] * b[i];
-                }
-                s *= self.betas[k];
-                for i in k..m {
-                    b[i] -= s * self.qr[(i, k)];
-                }
-            }
-        }
-        // Back substitution per right-hand side.
-        let mut solutions = Vec::with_capacity(rhs.len());
-        for b in &qtb {
-            let mut x = vec![0.0; n];
-            for i in (0..n).rev() {
-                let mut acc = b[i];
-                for j in (i + 1)..n {
-                    acc -= self.qr[(i, j)] * x[j];
-                }
-                x[i] = acc / self.r_diag[i];
-            }
-            solutions.push(x);
-        }
-        Ok(solutions)
-    }
-
     /// Reconstructs the thin `m × n` orthonormal factor `Q`, so that
     /// `A = Q · R` and `Qᵀ Q = I` (useful in tests).
     ///
@@ -363,47 +299,6 @@ mod tests {
         assert!(matches!(
             qr.solve_least_squares(&[1.0]),
             Err(LinalgError::DimensionMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn solve_many_is_bit_identical_to_individual_solves() {
-        let a = Matrix::from_rows(&[
-            vec![1.0, 0.0, 2.0],
-            vec![1.0, 1.0, 0.5],
-            vec![1.0, 2.0, -1.0],
-            vec![0.0, 3.0, 1.0],
-            vec![2.0, -1.0, 0.0],
-        ])
-        .unwrap();
-        let qr = QrDecomposition::new(&a).unwrap();
-        let rhs: Vec<Vec<f64>> = vec![
-            vec![0.9, 3.2, 4.9, 7.3, -1.1],
-            vec![1.0, 0.0, 0.0, 0.0, 1.0],
-            vec![-2.5, 0.25, 3.5, 0.125, 4.0],
-        ];
-        let batched = qr.solve_many(&rhs).unwrap();
-        for (b, x) in rhs.iter().zip(&batched) {
-            let single = qr.solve_least_squares(b).unwrap();
-            assert_eq!(x, &single, "batched solve must be bit-identical");
-        }
-    }
-
-    #[test]
-    fn solve_many_rejects_bad_inputs() {
-        let a = Matrix::identity(3);
-        let qr = QrDecomposition::new(&a).unwrap();
-        assert!(matches!(
-            qr.solve_many(&[vec![1.0, 2.0]]),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
-        assert_eq!(qr.solve_many(&[]).unwrap(), Vec::<Vec<f64>>::new());
-        let deficient =
-            Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0], vec![3.0, 6.0]]).unwrap();
-        let qr = QrDecomposition::new(&deficient).unwrap();
-        assert!(matches!(
-            qr.solve_many(&[vec![1.0, 2.0, 3.0]]),
-            Err(LinalgError::Singular)
         ));
     }
 

@@ -49,11 +49,6 @@ impl SparseMatrix {
         self.cols
     }
 
-    /// Total number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
-    }
-
     /// Appends a row given as `(column, value)` pairs. Entries with a zero
     /// value are dropped; duplicate columns are summed.
     ///
@@ -499,6 +494,11 @@ mod tests {
     use super::*;
     use crate::norms::approx_eq;
 
+    /// Total number of stored entries.
+    fn stored_entries(m: &SparseMatrix) -> usize {
+        (0..m.rows()).map(|r| m.row(r).len()).sum()
+    }
+
     fn sparse_from_dense(rows: &[Vec<f64>]) -> SparseMatrix {
         let cols = rows[0].len();
         let mut m = SparseMatrix::new(cols);
@@ -521,7 +521,7 @@ mod tests {
         m.push_row(&[(1, 2.0), (1, 3.0), (3, 0.0)]).unwrap();
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 4);
-        assert_eq!(m.nnz(), 3);
+        assert_eq!(stored_entries(&m), 3);
         assert_eq!(m.row(1), &[(1, 5.0)]);
         let dense = m.to_dense();
         assert_eq!(dense[(0, 0)], 1.0);
@@ -660,8 +660,8 @@ mod tests {
         let indicator = IndicatorMatrix::gather(&m, &all).unwrap();
         assert_eq!(indicator.rows(), m.rows());
         assert_eq!(indicator.cols(), m.cols());
-        assert_eq!(indicator.col_idx.len(), m.nnz());
-        assert_eq!(indicator.row_idx.len(), m.nnz());
+        assert_eq!(indicator.col_idx.len(), stored_entries(&m));
+        assert_eq!(indicator.row_idx.len(), stored_entries(&m));
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
         let p: Vec<f64> = (0..cols)

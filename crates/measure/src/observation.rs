@@ -94,15 +94,6 @@ impl PathObservations {
             .collect()
     }
 
-    /// Whether `path` was congested during `snapshot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn is_congested(&self, snapshot: usize, path: PathId) -> bool {
-        self.lanes.get(path.index(), snapshot)
-    }
-
     /// The set of congested paths during `snapshot`, in increasing path
     /// order.
     ///
@@ -112,22 +103,6 @@ impl PathObservations {
     pub fn congested_paths(&self, snapshot: usize) -> Vec<PathId> {
         let row = self.snapshot(snapshot);
         (0..row.len()).filter(|&p| row[p]).map(PathId).collect()
-    }
-
-    /// Fraction of snapshots during which `path` was congested (its
-    /// empirical `P(Y = 1)`).
-    pub fn congestion_frequency(&self, path: PathId) -> Result<f64, MeasureError> {
-        if self.is_empty() {
-            return Err(MeasureError::NoSnapshots);
-        }
-        if path.index() >= self.num_paths() {
-            return Err(MeasureError::UnknownPath {
-                index: path.index(),
-                num_paths: self.num_paths(),
-            });
-        }
-        let congested = self.lanes.count_ones(path.index());
-        Ok(congested as f64 / self.num_snapshots() as f64)
     }
 
     /// Iterates over snapshots as unpacked Boolean vectors.
@@ -396,29 +371,9 @@ mod tests {
     #[test]
     fn per_path_queries() {
         let obs = sample_observations();
-        assert!(obs.is_congested(1, PathId(0)));
-        assert!(!obs.is_congested(1, PathId(1)));
+        assert_eq!(obs.congested_paths(1), vec![PathId(0)]);
         assert_eq!(obs.congested_paths(2), vec![PathId(0), PathId(1)]);
         assert_eq!(obs.congested_paths(0), Vec::<PathId>::new());
-        assert_eq!(obs.congestion_frequency(PathId(0)).unwrap(), 0.5);
-        assert_eq!(obs.congestion_frequency(PathId(2)).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn frequency_errors() {
-        let empty = PathObservations::new(2);
-        assert_eq!(
-            empty.congestion_frequency(PathId(0)),
-            Err(MeasureError::NoSnapshots)
-        );
-        let obs = sample_observations();
-        assert_eq!(
-            obs.congestion_frequency(PathId(7)),
-            Err(MeasureError::UnknownPath {
-                index: 7,
-                num_paths: 3
-            })
-        );
     }
 
     #[test]
@@ -458,7 +413,6 @@ mod tests {
             let row = obs.snapshot(s);
             for p in 0..obs.num_paths() {
                 assert_eq!(obs.lanes().get(p, s), row[p]);
-                assert_eq!(obs.is_congested(s, PathId(p)), row[p]);
             }
         }
     }

@@ -240,12 +240,6 @@ impl StreamingEstimator {
         self.base.as_ref()
     }
 
-    /// Snapshots pushed on top of the attached history segment (all of
-    /// them without one), whether or not their lanes are kept.
-    pub fn delta_snapshots(&self) -> usize {
-        self.delta
-    }
-
     /// The summed lane counts of a late registration: errors on a
     /// counters-only estimator once snapshots were pushed, because their
     /// lanes are gone.
@@ -314,11 +308,6 @@ impl StreamingEstimator {
         Ok(absorbed)
     }
 
-    /// Number of registered pairs.
-    pub fn num_registered_pairs(&self) -> usize {
-        self.pair_good.len()
-    }
-
     /// Registers the pair `(a, b)` for O(1) both-good queries and returns
     /// its **handle** — a dense index whose accumulator can be read
     /// without any map lookup ([`StreamingEstimator::prob_pair_good_at`]).
@@ -358,11 +347,6 @@ impl StreamingEstimator {
             .iter()
             .map(|&(a, b)| self.register_pair(a, b))
             .collect()
-    }
-
-    /// The handle of an already-registered pair, if any.
-    pub fn pair_handle(&self, a: PathId, b: PathId) -> Option<usize> {
-        self.pair_index.get(&pair_key(a, b)).copied()
     }
 
     /// Registers an exact congestion pattern for O(1)
@@ -423,12 +407,6 @@ impl StreamingEstimator {
             }
         }
         Ok(())
-    }
-
-    /// Empirical `P(Y_i = 0, Y_j = 0)` for a **registered** pair — O(1),
-    /// no lane scan.
-    pub fn prob_pair_good(&self, a: PathId, b: PathId) -> Result<f64, MeasureError> {
-        Ok(self.prob_pairs_good(&[(a, b)])?[0])
     }
 
     /// Empirical `P(Y_i = 0, Y_j = 0)` by pair **handle** — a bounds
@@ -498,6 +476,11 @@ impl PathCounts for StreamingEstimator {
 mod tests {
     use super::*;
 
+    /// Empirical `P(Y_a = 0, Y_b = 0)` of a registered pair.
+    fn pair_good(est: &StreamingEstimator, a: usize, b: usize) -> Result<f64, MeasureError> {
+        Ok(est.prob_pairs_good(&[(PathId(a), PathId(b))])?[0])
+    }
+
     fn snapshots() -> Vec<[bool; 3]> {
         vec![
             [false, false, false],
@@ -534,7 +517,7 @@ mod tests {
             );
         }
         assert_eq!(
-            est.prob_pair_good(PathId(0), PathId(1)).unwrap(),
+            pair_good(&est, 0, 1).unwrap(),
             batch.prob_paths_good(&[PathId(0), PathId(1)]).unwrap()
         );
         assert_eq!(
@@ -557,22 +540,22 @@ mod tests {
         for s in snapshots() {
             late.push_snapshot(&s).unwrap();
         }
-        late.register_pair(PathId(1), PathId(0)).unwrap(); // reversed order
+        let first = late.register_pair(PathId(1), PathId(0)).unwrap(); // reversed order
         late.register_pattern(&BTreeSet::from([PathId(0), PathId(1)]))
             .unwrap();
         assert_eq!(
-            live.prob_pair_good(PathId(0), PathId(1)).unwrap(),
-            late.prob_pair_good(PathId(0), PathId(1)).unwrap()
+            pair_good(&live, 0, 1).unwrap(),
+            pair_good(&late, 0, 1).unwrap()
         );
         let pattern = BTreeSet::from([PathId(0), PathId(1)]);
         assert_eq!(
             live.prob_exactly_congested(&pattern).unwrap(),
             late.prob_exactly_congested(&pattern).unwrap()
         );
-        // Registration is idempotent and returns the same handle.
-        let first = late.pair_handle(PathId(0), PathId(1)).unwrap();
+        // Registration is idempotent and returns the same handle, so the
+        // next new pair takes the second slot.
         assert_eq!(late.register_pair(PathId(0), PathId(1)).unwrap(), first);
-        assert_eq!(late.num_registered_pairs(), 1);
+        assert_eq!(late.register_pair(PathId(0), PathId(2)).unwrap(), first + 1);
     }
 
     #[test]
@@ -585,11 +568,11 @@ mod tests {
         }
         assert_eq!(
             est.prob_pair_good_at(h01).unwrap(),
-            est.prob_pair_good(PathId(0), PathId(1)).unwrap()
+            pair_good(&est, 0, 1).unwrap()
         );
         assert_eq!(
             est.prob_pair_good_at(h12).unwrap(),
-            est.prob_pair_good(PathId(1), PathId(2)).unwrap()
+            pair_good(&est, 1, 2).unwrap()
         );
         // Handles follow registration order; a batch query in that order
         // reads them directly, any other order through the pair map.
@@ -615,7 +598,10 @@ mod tests {
             est.prob_pair_good_at(99),
             Err(MeasureError::Unregistered(_))
         ));
-        assert_eq!(est.pair_handle(PathId(0), PathId(2)), None);
+        assert!(matches!(
+            est.pair_good_counts(&[(PathId(0), PathId(2))]),
+            Err(MeasureError::Unregistered(_))
+        ));
     }
 
     #[test]
@@ -636,7 +622,7 @@ mod tests {
     fn unregistered_queries_and_errors() {
         let est = streamed();
         assert!(matches!(
-            est.prob_pair_good(PathId(0), PathId(2)),
+            pair_good(&est, 0, 2),
             Err(MeasureError::Unregistered(_))
         ));
         assert!(matches!(
@@ -662,7 +648,6 @@ mod tests {
         }
         let lanes = streamed();
         assert_eq!(counters.num_snapshots(), lanes.num_snapshots());
-        assert_eq!(counters.delta_snapshots(), 8);
         assert!(counters.observations().is_empty());
         for p in 0..3 {
             assert_eq!(
@@ -707,7 +692,11 @@ mod tests {
         assert!(matches!(est.batch(), Err(MeasureError::NoLanes(_))));
         // Re-registering a known pair is still the idempotent lookup.
         assert_eq!(est.register_pair(PathId(1), PathId(0)).unwrap(), 0);
-        assert_eq!(est.num_registered_pairs(), 1);
+        // The refused registration left no pair behind.
+        assert!(matches!(
+            est.pair_good_counts(&[(PathId(1), PathId(2))]),
+            Err(MeasureError::Unregistered(_))
+        ));
         assert!(matches!(
             est.push_snapshot(&[true]),
             Err(MeasureError::WrongSnapshotWidth {
@@ -757,7 +746,7 @@ mod tests {
             resumed.register_pair(PathId(0), PathId(1)).unwrap();
             assert_eq!(resumed.attach_history(mapped).unwrap(), split);
             assert_eq!(resumed.num_snapshots(), split);
-            assert_eq!(resumed.delta_snapshots(), 0);
+            assert_eq!(resumed.base().unwrap().num_snapshots(), split);
             // Pattern registered *after* attaching: catch-up must read
             // the mapped base too.
             resumed.register_pattern(&pattern).unwrap();
@@ -766,8 +755,7 @@ mod tests {
             }
 
             assert_eq!(resumed.num_snapshots(), 137);
-            assert_eq!(resumed.delta_snapshots(), 137 - split);
-            assert!(resumed.base().is_some());
+            assert_eq!(resumed.base().unwrap().num_snapshots(), split);
             for p in 0..paths {
                 assert_eq!(
                     live.prob_path_congested(PathId(p)).unwrap(),
@@ -780,8 +768,8 @@ mod tests {
                 );
             }
             assert_eq!(
-                live.prob_pair_good(PathId(0), PathId(1)).unwrap(),
-                resumed.prob_pair_good(PathId(0), PathId(1)).unwrap()
+                pair_good(&live, 0, 1).unwrap(),
+                pair_good(&resumed, 0, 1).unwrap()
             );
             assert_eq!(
                 live.prob_all_paths_good().unwrap(),
@@ -797,8 +785,8 @@ mod tests {
             both.0.register_pair(PathId(2), PathId(3)).unwrap();
             both.1.register_pair(PathId(2), PathId(3)).unwrap();
             assert_eq!(
-                both.0.prob_pair_good(PathId(2), PathId(3)).unwrap(),
-                both.1.prob_pair_good(PathId(2), PathId(3)).unwrap()
+                pair_good(&both.0, 2, 3).unwrap(),
+                pair_good(&both.1, 2, 3).unwrap()
             );
             // The serialized full history is byte-identical to the
             // uninterrupted store's serialization.
@@ -839,11 +827,11 @@ mod tests {
             resumed.push_snapshot(&wide_snapshot(paths, s)).unwrap();
         }
         assert_eq!(resumed.num_snapshots(), 150);
-        assert_eq!(resumed.delta_snapshots(), 80);
+        assert_eq!(resumed.base().unwrap().num_snapshots(), 70);
         assert!(resumed.observations().is_empty());
         assert_eq!(
-            resumed.prob_pair_good(PathId(0), PathId(2)).unwrap(),
-            live.prob_pair_good(PathId(0), PathId(2)).unwrap()
+            pair_good(&resumed, 0, 2).unwrap(),
+            pair_good(&live, 0, 2).unwrap()
         );
         assert_eq!(
             resumed.prob_exactly_congested(&pattern).unwrap(),

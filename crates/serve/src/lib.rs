@@ -11,8 +11,10 @@
 //!    [`netcorr_core::InferenceContext`]: its right-hand side refreshes in
 //!    `O(#equations)` from the streaming counters, and the solve reuses
 //!    the equation structure, the independence selection and the dense QR
-//!    factorization (or sparse indicator matrix), with CGLS warm-started
-//!    from the previous solution on the sparse plan;
+//!    factorization (or sparse indicator matrix). Each refresh is one
+//!    [`netcorr_core::InferenceContext::reinfer`]: the dense plans (the
+//!    default) ignore its seed, and only the sparse plan starts CGLS from
+//!    the previous refresh's solution;
 //! 3. **answers** link-state and probability queries over a small
 //!    line-oriented request protocol ([`protocol`]), with per-request
 //!    `ERR` replies instead of connection drops and an in-band graceful

@@ -46,8 +46,8 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Read timeout on accepted connections. A session blocked waiting for
 /// the next request wakes at this cadence to poll the shutdown flag, so
-/// `SHUTDOWN` (or a flipped [`Server::shutdown_handle`]) can join every
-/// session even while other clients sit idle on open connections.
+/// `SHUTDOWN` can join every session even while other clients sit idle on
+/// open connections.
 const SESSION_READ_POLL: Duration = Duration::from_millis(100);
 
 /// Per-session limits and fault injection for a [`Server`].
@@ -195,12 +195,6 @@ impl Server {
                 None => "unix://<unknown>".to_string(),
             },
         }
-    }
-
-    /// A handle that makes [`Server::run`] return when set to `true`
-    /// (the in-band `SHUTDOWN` request sets the same flag).
-    pub fn shutdown_handle(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
     }
 
     /// Runs the accept loop until shutdown, then joins every session
@@ -647,37 +641,20 @@ mod tests {
         // Binding over a stale socket file works (simulate a crash leftover).
         std::fs::write(&path, b"").unwrap();
         let server = Server::bind(service(), &addr).unwrap();
-        server.shutdown_handle().store(true, Ordering::SeqCst);
+        server.shutdown.store(true, Ordering::SeqCst);
         server.run().unwrap();
         assert!(!path.exists());
     }
 
-    #[test]
-    fn shutdown_handle_stops_an_idle_server() {
-        let server = Server::bind(service(), &ListenAddr::Tcp("127.0.0.1:0".into())).unwrap();
-        let flag = server.shutdown_handle();
-        let handle = std::thread::spawn(move || server.run());
-        std::thread::sleep(Duration::from_millis(20));
-        flag.store(true, Ordering::SeqCst);
-        handle.join().unwrap().unwrap();
-    }
-
     /// Binds a server with the given config and returns
-    /// `(tcp address, shutdown flag, join handle)`.
-    fn spawn_tcp(
-        config: ServerConfig,
-    ) -> (
-        String,
-        Arc<AtomicBool>,
-        std::thread::JoinHandle<std::io::Result<()>>,
-    ) {
+    /// `(tcp address, join handle)`.
+    fn spawn_tcp(config: ServerConfig) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
         let server =
             Server::bind_with(service(), &ListenAddr::Tcp("127.0.0.1:0".into()), config).unwrap();
         let description = server.local_description();
         let addr = description.strip_prefix("tcp://").unwrap().to_string();
-        let flag = server.shutdown_handle();
         let handle = std::thread::spawn(move || server.run());
-        (addr, flag, handle)
+        (addr, handle)
     }
 
     #[test]
@@ -686,7 +663,7 @@ mod tests {
             max_sessions: 1,
             ..ServerConfig::default()
         };
-        let (addr, flag, handle) = spawn_tcp(config);
+        let (addr, handle) = spawn_tcp(config);
 
         let mut first = Client::connect_tcp(&addr).unwrap();
         first.ping().unwrap();
@@ -703,21 +680,21 @@ mod tests {
         // Closing it frees the slot (after the accept loop reaps the
         // finished session thread).
         let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
+        let mut retry = loop {
             let mut retry = Client::connect_tcp(&addr).unwrap();
             if retry.ping().is_ok() {
-                break;
+                break retry;
             }
             assert!(Instant::now() < deadline, "shed slot never freed");
             std::thread::sleep(Duration::from_millis(10));
-        }
-        flag.store(true, Ordering::SeqCst);
+        };
+        retry.shutdown().unwrap();
         handle.join().unwrap().unwrap();
     }
 
     #[test]
     fn a_panicking_request_is_isolated_to_its_session() {
-        let (addr, _flag, handle) = spawn_tcp(ServerConfig::default());
+        let (addr, handle) = spawn_tcp(ServerConfig::default());
 
         let mut raw = TcpStream::connect(&addr).unwrap();
         raw.write_all(b"XPANIC\n").unwrap();
@@ -741,7 +718,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_an_obs_ingest_already_in_flight() {
-        let (addr, _flag, handle) = spawn_tcp(ServerConfig::default());
+        let (addr, handle) = spawn_tcp(ServerConfig::default());
 
         // Start an OBS upload but hold back the final bytes.
         let mut ingest = TcpStream::connect(&addr).unwrap();
@@ -771,7 +748,7 @@ mod tests {
             idle_timeout: Duration::from_millis(100),
             ..ServerConfig::default()
         };
-        let (addr, flag, handle) = spawn_tcp(config);
+        let (addr, handle) = spawn_tcp(config);
 
         let mut stream = TcpStream::connect(&addr).unwrap();
         stream
@@ -780,7 +757,7 @@ mod tests {
         // The server closes the idle session: the client reads EOF.
         let mut buf = [0u8; 1];
         assert_eq!(stream.read(&mut buf).unwrap(), 0);
-        flag.store(true, Ordering::SeqCst);
+        Client::connect_tcp(&addr).unwrap().shutdown().unwrap();
         handle.join().unwrap().unwrap();
     }
 }

@@ -79,7 +79,7 @@ pub struct HistoryStatus {
     /// Size of the persisted file in bytes (payload + footer).
     pub bytes: usize,
     /// Generation counter of the persisted file: incremented by every
-    /// persisted ingest, 0 for a fresh or legacy (footer-less) file.
+    /// persisted ingest, 0 for a fresh file.
     pub generation: u64,
     /// Whether startup had to *recover* the history — a torn or missing
     /// current file was replaced by the rotated previous generation (or
@@ -130,7 +130,7 @@ struct HistoryFile {
     bytes: usize,
     /// Snapshots in the file as of the last persist.
     snapshots: usize,
-    /// Generation of the last history write (0 = fresh/legacy).
+    /// Generation of the last history write (0 = fresh).
     generation: u64,
     /// Whether startup recovered from a torn write (see
     /// [`netcorr_eval::persist::recover_history`]).
@@ -227,8 +227,8 @@ impl TomographyService {
     /// Enables persistent observation history at `path`, with crash-safe
     /// recovery. Startup runs
     /// [`netcorr_eval::persist::recover_history`]: a valid file (sealed
-    /// with a generation + checksum footer, or a legacy footer-less v3
-    /// block) is used as-is; a file torn by a crash mid-write is
+    /// with a generation + checksum footer) is used as-is; a file torn by
+    /// a crash mid-write, or a bare v3 block with no footer, is
     /// replaced by the rotated `<path>.prev` generation — i.e. the last
     /// fully-acked ingest — and the service reports `recovered=true` in
     /// its status. The surviving payload is memory-mapped through the
@@ -859,7 +859,7 @@ mod tests {
         // A history file over the wrong path count is rejected up front.
         let mut wrong = PathObservations::new(7);
         wrong.record_snapshot(&[false; 7]).unwrap();
-        std::fs::write(&file, wrong.to_binary()).unwrap();
+        std::fs::write(&file, persist::encode_history(&wrong.to_binary(), 1)).unwrap();
         let mut mismatched = TomographyService::new(&instance, &config).unwrap();
         assert_eq!(
             mismatched.enable_history(&file),

@@ -268,8 +268,9 @@ fn corrupt_history_fails_startup_and_corrupt_obs_keeps_the_session() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let history = dir.join("history.ncobs3");
-    // A corrupt history file (dirty tail) must fail startup with a clear
-    // error instead of panicking or serving wrong counts.
+    // A sealed history whose payload is corrupt (dirty tail) must fail
+    // startup with a clear error instead of panicking or serving wrong
+    // counts.
     let mut obs = PathObservations::new(3);
     for i in 0..10 {
         obs.record_snapshot(&[i % 2 == 0, i % 3 == 0, false])
@@ -278,7 +279,7 @@ fn corrupt_history_fails_startup_and_corrupt_obs_keeps_the_session() {
     let mut bytes = obs.to_binary();
     let last = bytes.len() - 1;
     bytes[last] |= 0x80;
-    std::fs::write(&history, &bytes).unwrap();
+    std::fs::write(&history, netcorr_eval::persist::encode_history(&bytes, 1)).unwrap();
     let history_arg = history.display().to_string();
     let out = Command::new(env!("CARGO_BIN_EXE_netcorr-serve"))
         .args(["--topology", "fig1a", "--history", history_arg.as_str()])

@@ -104,13 +104,7 @@ proptest! {
         // before the last block is the acked prefix.
         let sealed = std::fs::read(&history).unwrap();
         let acked_blocks = sizes.len() - 1;
-        let mut torn_len = tear % sealed.len();
-        if acked_blocks == 0 && torn_len == sealed.len() - 32 {
-            // A *first*-generation write torn exactly at the payload
-            // boundary is indistinguishable from a legacy footer-less
-            // file (documented recovery behaviour) — dodge that offset.
-            torn_len += 1;
-        }
+        let torn_len = tear % sealed.len();
         std::fs::write(&history, &sealed[..torn_len]).unwrap();
         let acked_snapshots: usize = sizes[..acked_blocks].iter().sum();
         let post = block(content_seed, 0xdead, 9);

@@ -156,12 +156,6 @@ impl CorrelationPartition {
         self.sets.iter().map(Vec::len).max().unwrap_or(0)
     }
 
-    /// Returns `true` if `a` and `b` are distinct links that may be
-    /// correlated (i.e. they belong to the same correlation set).
-    pub fn are_potentially_correlated(&self, a: LinkId, b: LinkId) -> bool {
-        a != b && self.set_of(a) == self.set_of(b)
-    }
-
     /// Returns `true` if the links in `links` are mutually uncorrelated,
     /// i.e. no two distinct links among them belong to the same correlation
     /// set. This is the eligibility test used by the practical algorithm to
@@ -183,16 +177,6 @@ impl CorrelationPartition {
             seen_sets[s] = true;
         }
         true
-    }
-
-    /// The other links that `link` may be correlated with (its correlation
-    /// set minus itself).
-    pub fn correlated_partners(&self, link: LinkId) -> Vec<LinkId> {
-        self.set_links(self.set_of(link))
-            .iter()
-            .copied()
-            .filter(|&l| l != link)
-            .collect()
     }
 
     /// Enumerates all non-empty subsets of one correlation set.
@@ -237,21 +221,6 @@ impl CorrelationPartition {
             all.extend(self.subsets_of_set(set, limit)?);
         }
         Ok(all)
-    }
-
-    /// Total number of correlation subsets `|C̃| = Σ_p (2^|C_p| − 1)`,
-    /// computed without enumerating them (saturating at `usize::MAX`).
-    pub fn num_correlation_subsets(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| {
-                if s.len() >= usize::BITS as usize - 1 {
-                    usize::MAX
-                } else {
-                    (1usize << s.len()) - 1
-                }
-            })
-            .fold(0usize, |acc, v| acc.saturating_add(v))
     }
 }
 
@@ -316,21 +285,21 @@ mod tests {
     fn singleton_and_single_set_extremes() {
         let singles = CorrelationPartition::singletons(3);
         assert_eq!(singles.num_sets(), 3);
-        assert!(!singles.are_potentially_correlated(LinkId(0), LinkId(1)));
+        assert!(singles.mutually_uncorrelated(&[LinkId(0), LinkId(1)]));
 
         let one = CorrelationPartition::single_set(3);
         assert_eq!(one.num_sets(), 1);
-        assert!(one.are_potentially_correlated(LinkId(0), LinkId(2)));
-        assert!(!one.are_potentially_correlated(LinkId(1), LinkId(1)));
+        assert!(!one.mutually_uncorrelated(&[LinkId(0), LinkId(2)]));
+        assert!(one.mutually_uncorrelated(&[LinkId(1), LinkId(1)]));
     }
 
     #[test]
     fn correlation_queries_match_paper_example() {
         let c = fig1a_partition();
-        assert!(c.are_potentially_correlated(LinkId(0), LinkId(1)));
-        assert!(!c.are_potentially_correlated(LinkId(0), LinkId(2)));
-        assert_eq!(c.correlated_partners(LinkId(0)), vec![LinkId(1)]);
-        assert!(c.correlated_partners(LinkId(3)).is_empty());
+        assert_eq!(c.set_of(LinkId(0)), c.set_of(LinkId(1)));
+        assert_ne!(c.set_of(LinkId(0)), c.set_of(LinkId(2)));
+        assert_eq!(c.set_links(c.set_of(LinkId(0))), [LinkId(0), LinkId(1)]);
+        assert_eq!(c.set_links(c.set_of(LinkId(3))), [LinkId(3)]);
     }
 
     #[test]
@@ -361,7 +330,6 @@ mod tests {
         assert!(all.contains(&vec![LinkId(0), LinkId(1)]));
         assert!(all.contains(&vec![LinkId(2)]));
         assert!(all.contains(&vec![LinkId(3)]));
-        assert_eq!(c.num_correlation_subsets(), 5);
     }
 
     #[test]
@@ -374,8 +342,6 @@ mod tests {
                 limit: 20
             })
         ));
-        // The count is still available without enumeration.
-        assert_eq!(big.num_correlation_subsets(), (1usize << 30) - 1);
     }
 
     #[test]

@@ -135,28 +135,6 @@ pub struct BriteTopology {
     pub num_router_links: usize,
 }
 
-impl BriteTopology {
-    /// Returns, for every router-level link, the AS-level links that
-    /// traverse it (the inverse of `router_links`).
-    pub fn as_links_per_router_link(&self) -> Vec<Vec<LinkId>> {
-        let mut inverse = vec![Vec::new(); self.num_router_links];
-        for (link_idx, segments) in self.router_links.iter().enumerate() {
-            for &seg in segments {
-                inverse[seg].push(LinkId(link_idx));
-            }
-        }
-        inverse
-    }
-
-    /// Returns `true` if two AS-level links share at least one router-level
-    /// link (i.e. they are genuinely correlated in the hidden substrate).
-    pub fn share_router_link(&self, a: LinkId, b: LinkId) -> bool {
-        self.router_links[a.index()]
-            .iter()
-            .any(|seg| self.router_links[b.index()].contains(seg))
-    }
-}
-
 /// A directed router-level link, identified by its endpoint router ids.
 /// Router ids are `(as_index, router_index_within_as)` with router index 0
 /// being the core router.
@@ -312,6 +290,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Whether two AS-level links share at least one router-level link
+    /// (they are genuinely correlated in the hidden substrate).
+    fn shares_router_link(brite: &BriteTopology, a: LinkId, b: LinkId) -> bool {
+        brite.router_links[a.index()]
+            .iter()
+            .any(|seg| brite.router_links[b.index()].contains(seg))
+    }
+
     #[test]
     fn small_config_generates_a_consistent_instance() {
         let mut rng = StdRng::seed_from_u64(42);
@@ -339,7 +325,7 @@ mod tests {
                 if a == b {
                     continue;
                 }
-                if brite.share_router_link(a, b) {
+                if shares_router_link(&brite, a, b) {
                     assert_eq!(
                         inst.correlation.set_of(a),
                         inst.correlation.set_of(b),
@@ -354,7 +340,7 @@ mod tests {
             .topology
             .link_ids()
             .flat_map(|a| inst.topology.link_ids().map(move |b| (a, b)))
-            .filter(|&(a, b)| a < b && brite.share_router_link(a, b))
+            .filter(|&(a, b)| a < b && shares_router_link(&brite, a, b))
             .count();
         assert!(correlated_pairs > 0, "expected some correlated link pairs");
     }
@@ -375,7 +361,7 @@ mod tests {
             let has_sharing_pair = links.iter().any(|&a| {
                 links
                     .iter()
-                    .any(|&b| a != b && brite.share_router_link(a, b))
+                    .any(|&b| a != b && shares_router_link(&brite, a, b))
             });
             assert!(has_sharing_pair, "multi-link set without any sharing pair");
         }
@@ -388,19 +374,6 @@ mod tests {
         assert_eq!(a.instance.num_links(), b.instance.num_links());
         assert_eq!(a.instance.num_paths(), b.instance.num_paths());
         assert_eq!(a.router_links, b.router_links);
-    }
-
-    #[test]
-    fn inverse_mapping_is_consistent() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let brite = generate(&BriteConfig::small(), &mut rng).unwrap();
-        let inverse = brite.as_links_per_router_link();
-        assert_eq!(inverse.len(), brite.num_router_links);
-        for (seg, as_links) in inverse.iter().enumerate() {
-            for link in as_links {
-                assert!(brite.router_links[link.index()].contains(&seg));
-            }
-        }
     }
 
     #[test]

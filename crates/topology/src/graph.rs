@@ -210,15 +210,6 @@ impl Topology {
         self.out_links(node).len() + self.in_links(node).len()
     }
 
-    /// Finds an existing link from `source` to `target`, if any.
-    pub fn find_link(&self, source: NodeId, target: NodeId) -> Option<LinkId> {
-        self.out_links
-            .get(source.index())?
-            .iter()
-            .copied()
-            .find(|&l| self.link(l).target == target)
-    }
-
     /// Returns `true` if a node is *intermediate*, i.e. it has at least one
     /// incoming and at least one outgoing link. Intermediate nodes are the
     /// candidates for the merging transformation of Section 3.3.
@@ -287,14 +278,6 @@ mod tests {
         assert!(t.is_intermediate(nodes[1]));
         assert!(!t.is_intermediate(nodes[0]));
         assert!(t.validate().is_ok());
-    }
-
-    #[test]
-    fn find_link_locates_existing_links_only() {
-        let (t, nodes, links) = small_topology();
-        assert_eq!(t.find_link(nodes[0], nodes[1]), Some(links[0]));
-        assert_eq!(t.find_link(nodes[1], nodes[0]), None);
-        assert_eq!(t.find_link(nodes[2], nodes[2]), None);
     }
 
     #[test]

@@ -78,22 +78,6 @@ pub struct IdentifiabilityReport {
     pub truncated_sets: Vec<CorrelationSetId>,
 }
 
-impl IdentifiabilityReport {
-    /// `true` if `link` was found to be unidentifiable.
-    pub fn is_unidentifiable(&self, link: LinkId) -> bool {
-        self.unidentifiable_links.contains(&link)
-    }
-
-    /// The identifiable links of the instance (complement of
-    /// [`IdentifiabilityReport::unidentifiable_links`]).
-    pub fn identifiable_links(&self, num_links: usize) -> Vec<LinkId> {
-        (0..num_links)
-            .map(LinkId)
-            .filter(|l| !self.unidentifiable_links.contains(l))
-            .collect()
-    }
-}
-
 /// Runs the exact identifiability check on an instance.
 pub fn check_identifiability(
     instance: &TopologyInstance,
@@ -197,19 +181,6 @@ pub fn node_heuristic_violations(instance: &TopologyInstance) -> Vec<NodeId> {
     violations
 }
 
-/// The links adjacent to any node flagged by
-/// [`node_heuristic_violations`] — a cheap over-approximation of the
-/// unidentifiable links, used by the evaluation harness when constructing
-/// scenarios with a target fraction of unidentifiable links.
-pub fn heuristic_unidentifiable_links(instance: &TopologyInstance) -> BTreeSet<LinkId> {
-    let mut links = BTreeSet::new();
-    for node in node_heuristic_violations(instance) {
-        links.extend(instance.topology.in_links(node).iter().copied());
-        links.extend(instance.topology.out_links(node).iter().copied());
-    }
-    links
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,13 +219,8 @@ mod tests {
             report.unidentifiable_links,
             BTreeSet::from([LinkId(0), LinkId(1), LinkId(2)])
         );
-        assert!(report.identifiable_links(3).is_empty());
         // The structural heuristic flags node v3 (index 2).
         assert_eq!(node_heuristic_violations(&inst), vec![NodeId(2)]);
-        assert_eq!(
-            heuristic_unidentifiable_links(&inst),
-            BTreeSet::from([LinkId(0), LinkId(1), LinkId(2)])
-        );
     }
 
     #[test]
@@ -302,17 +268,5 @@ mod tests {
         assert!(subsets.contains(&vec![LinkId(0)]));
         assert!(subsets.contains(&vec![LinkId(1), LinkId(4)]));
         assert!(subsets.contains(&links));
-    }
-
-    #[test]
-    fn report_accessors() {
-        let inst = toy::figure_1b();
-        let report = check_identifiability(&inst, IdentifiabilityConfig::default());
-        assert!(report.is_unidentifiable(LinkId(0)));
-        assert_eq!(report.identifiable_links(3).len(), 0);
-        let inst_a = toy::figure_1a();
-        let report_a = check_identifiability(&inst_a, IdentifiabilityConfig::default());
-        assert!(!report_a.is_unidentifiable(LinkId(0)));
-        assert_eq!(report_a.identifiable_links(4).len(), 4);
     }
 }

@@ -40,24 +40,6 @@ pub struct MergeResult {
     pub rounds: usize,
 }
 
-impl MergeResult {
-    /// Returns `true` if the transformation changed nothing (the input had
-    /// no candidate node).
-    pub fn is_identity(&self) -> bool {
-        self.removed_nodes.is_empty()
-    }
-
-    /// Returns the transformed link that contains the original link
-    /// `original`, if any (an original link adjacent to a removed node may
-    /// appear in several merged links; the first match is returned).
-    pub fn transformed_link_containing(&self, original: LinkId) -> Option<LinkId> {
-        self.merged_from
-            .iter()
-            .position(|composition| composition.contains(&original))
-            .map(LinkId)
-    }
-}
-
 /// Internal working representation of a link during merging.
 #[derive(Debug, Clone)]
 struct WorkLink {
@@ -336,7 +318,7 @@ mod tests {
     fn figure_1a_is_untouched() {
         let inst = toy::figure_1a();
         let result = merge_indistinguishable(&inst).unwrap();
-        assert!(result.is_identity());
+        assert!(result.removed_nodes.is_empty());
         assert_eq!(result.instance.num_links(), 4);
         assert_eq!(result.instance.num_paths(), 3);
         assert_eq!(result.rounds, 0);
@@ -349,7 +331,7 @@ mod tests {
         // set.
         let inst = toy::figure_1b();
         let result = merge_indistinguishable(&inst).unwrap();
-        assert!(!result.is_identity());
+        assert!(!result.removed_nodes.is_empty());
         assert_eq!(result.removed_nodes, vec![NodeId(2)]); // v3
         let merged = &result.instance;
         assert_eq!(merged.num_links(), 2);
@@ -400,20 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn transformed_link_containing_finds_compositions() {
-        let inst = toy::figure_1b();
-        let result = merge_indistinguishable(&inst).unwrap();
-        // e1 (LinkId 0) survives inside exactly one merged link.
-        let containing = result.transformed_link_containing(LinkId(0)).unwrap();
-        assert!(result.merged_from[containing.index()].contains(&LinkId(0)));
-        // e3 (LinkId 2) appears in both merged links; some link is
-        // returned.
-        assert!(result.transformed_link_containing(LinkId(2)).is_some());
-        // A non-existent original link is not found.
-        assert!(result.transformed_link_containing(LinkId(99)).is_none());
-    }
-
-    #[test]
     fn merging_a_longer_chain_terminates_and_validates() {
         // A chain v1 -> v2 -> v3 -> v4 with one path across it and all
         // links in one correlation set: both intermediate nodes get merged
@@ -455,6 +423,6 @@ mod tests {
         let result = merge_indistinguishable(&inst).unwrap();
         // v3 (index 2) has ingress links a, b in *different* correlation
         // sets, so it is not a candidate and nothing changes.
-        assert!(result.is_identity());
+        assert!(result.removed_nodes.is_empty());
     }
 }

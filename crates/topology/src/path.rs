@@ -155,11 +155,6 @@ impl PathSet {
         self.paths.iter()
     }
 
-    /// Iterates over all path ids.
-    pub fn path_ids(&self) -> impl Iterator<Item = PathId> {
-        (0..self.paths.len()).map(PathId)
-    }
-
     /// The paths that traverse `link` (ψ({link})).
     ///
     /// # Panics
@@ -179,11 +174,6 @@ impl PathSet {
         covered
     }
 
-    /// |ψ(A)|: the number of paths covered by `A`.
-    pub fn coverage_size(&self, links: &[LinkId]) -> usize {
-        self.coverage(links).len()
-    }
-
     /// The source node of a path (the source of its first link).
     pub fn source(&self, topology: &Topology, id: PathId) -> NodeId {
         topology.link(self.path(id).links[0]).source
@@ -194,26 +184,6 @@ impl PathSet {
         topology
             .link(*self.path(id).links.last().expect("paths are non-empty"))
             .target
-    }
-
-    /// Returns `true` if any link of `path_a` and any link of `path_b`
-    /// belong to the same group according to `same_group`. Used by the
-    /// equation builder to exclude path pairs that involve correlated
-    /// links.
-    pub fn paths_share_group(
-        &self,
-        a: PathId,
-        b: PathId,
-        mut same_group: impl FnMut(LinkId, LinkId) -> bool,
-    ) -> bool {
-        for &la in &self.path(a).links {
-            for &lb in &self.path(b).links {
-                if la != lb && same_group(la, lb) {
-                    return true;
-                }
-            }
-        }
-        false
     }
 }
 
@@ -256,8 +226,8 @@ mod tests {
     #[test]
     fn coverage_size_counts_paths() {
         let (_t, ps) = fig1a();
-        assert_eq!(ps.coverage_size(&[LinkId(0), LinkId(1)]), 3);
-        assert_eq!(ps.coverage_size(&[]), 0);
+        assert_eq!(ps.coverage(&[LinkId(0), LinkId(1)]).len(), 3);
+        assert_eq!(ps.coverage(&[]).len(), 0);
     }
 
     #[test]
@@ -321,23 +291,12 @@ mod tests {
     fn paths_through_link_index_is_consistent_with_traverses() {
         let (_t, ps) = fig1a();
         for link in (0..ps.num_links()).map(LinkId) {
-            for pid in ps.path_ids() {
+            for pid in (0..ps.num_paths()).map(PathId) {
                 let indexed = ps.paths_through(link).contains(&pid);
                 let scanned = ps.path(pid).traverses(link);
                 assert_eq!(indexed, scanned, "link {link}, path {pid}");
             }
         }
-    }
-
-    #[test]
-    fn paths_share_group_detects_cross_path_grouping() {
-        let (_t, ps) = fig1a();
-        // Group e1 (LinkId 0) and e2 (LinkId 1) together, as in Figure 1(a).
-        let same_group = |a: LinkId, b: LinkId| (a.index() <= 1 && b.index() <= 1) && a != b;
-        // P1 uses e1, P2 uses e2 -> they share the group.
-        assert!(ps.paths_share_group(PathId(0), PathId(1), same_group));
-        // P2 and P3 both use e2 but share no *distinct* grouped pair.
-        assert!(!ps.paths_share_group(PathId(1), PathId(2), same_group));
     }
 
     #[test]
